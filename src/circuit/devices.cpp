@@ -221,14 +221,24 @@ void Diode::set_saturation_current(double is) {
   is_ = is;
 }
 
+namespace {
+constexpr double kBoltzmannOverQ = 8.617333262e-5;  // V/K
+}  // namespace
+
+Diode::SaturationTerms Diode::saturation_terms(double temperature_k) const {
+  return saturation_memo_.get(temperature_k, [this](double t) {
+    // SPICE temperature law for the saturation current.
+    const double ratio = t / tnom_;
+    const double vt_nom = n_ * kBoltzmannOverQ * tnom_;
+    return SaturationTerms{std::pow(ratio, xti_ / n_),
+                           std::exp(eg_ / vt_nom * (ratio - 1.0) / ratio)};
+  });
+}
+
 Diode::Eval Diode::evaluate(double v, double temperature_k) const {
-  constexpr double kBoltzmannOverQ = 8.617333262e-5;  // V/K
   const double vt = n_ * kBoltzmannOverQ * temperature_k;
-  // SPICE temperature law for the saturation current.
-  const double ratio = temperature_k / tnom_;
-  const double vt_nom = n_ * kBoltzmannOverQ * tnom_;
-  const double is_t =
-      is_ * std::pow(ratio, xti_ / n_) * std::exp(eg_ / vt_nom * (ratio - 1.0) / ratio);
+  const SaturationTerms terms = saturation_terms(temperature_k);
+  const double is_t = is_ * terms.power * terms.bandgap;
   const double x = v / vt;
   // Linearize beyond x_max to keep Newton iterates finite (standard
   // junction-limiting alternative).
@@ -327,8 +337,11 @@ MosBias Mosfet::bias_from(double vd, double vg, double vs, double vb) const {
 
 MosEval Mosfet::evaluate_at(double vd, double vg, double vs, double vb,
                             double temperature_k) const {
+  const double mu_factor = mu_factor_.get(temperature_k, [this](double t) {
+    return mos_mu_factor(process_, t);
+  });
   return mos_eval(process_, geometry_, variation_, bias_from(vd, vg, vs, vb),
-                  temperature_k);
+                  temperature_k, mu_factor);
 }
 
 MosEval Mosfet::evaluate(const DcStamp& stamp) const {

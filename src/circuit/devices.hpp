@@ -8,7 +8,9 @@
 // netlist.
 #pragma once
 
+#include <bit>
 #include <complex>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -191,6 +193,33 @@ class Inductor final : public Device {
   double inductance_;
 };
 
+/// Per-instance memo of a model constant that depends only on the
+/// temperature and on parameters fixed at construction (the pow/exp terms
+/// of the temperature laws).  A solve holds the temperature fixed, so a
+/// device computes the constant once per temperature instead of once per
+/// Newton iteration.  The key is the exact bit pattern of T, so the memo
+/// returns exactly what `compute(T)` would.  A device belongs to one
+/// netlist and a netlist to one worker, so the memo needs no locking.
+template <typename Value>
+class TemperatureMemo {
+ public:
+  template <typename Compute>
+  const Value& get(double temperature_k, Compute&& compute) {
+    const auto key = std::bit_cast<std::uint64_t>(temperature_k);
+    if (!valid_ || key != key_) {
+      value_ = compute(temperature_k);
+      key_ = key;
+      valid_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  bool valid_ = false;
+  std::uint64_t key_ = 0;
+  Value value_{};
+};
+
 /// Junction diode (Shockley model with overflow-safe linearized tail).
 /// i = IS(T) * (exp(v / (n Vt)) - 1), Vt = kT/q from the stamp conditions,
 /// with the standard saturation-current temperature law
@@ -221,6 +250,15 @@ class Diode final : public Device {
   Eval evaluate(double v, double temperature_k) const;
 
  private:
+  /// The two temperature terms of IS(T): (T/Tnom)^(XTI/n) and the
+  /// bandgap exp().  Kept apart from IS so set_saturation_current()
+  /// leaves the memo valid and IS(T) keeps its product order.
+  struct SaturationTerms {
+    double power = 0.0;
+    double bandgap = 0.0;
+  };
+  SaturationTerms saturation_terms(double temperature_k) const;
+
   NodeId anode_;
   NodeId cathode_;
   double is_;
@@ -228,6 +266,7 @@ class Diode final : public Device {
   double eg_;
   double xti_;
   double tnom_;
+  mutable TemperatureMemo<SaturationTerms> saturation_memo_;
 };
 
 /// MOS transistor polarity.
@@ -280,6 +319,8 @@ class Mosfet final : public Device {
   MosProcess process_;
   MosGeometry geometry_;
   MosVariation variation_;
+  /// mos_mu_factor(process_, T); process_ is fixed, so T is the only key.
+  mutable TemperatureMemo<double> mu_factor_;
 };
 
 }  // namespace mayo::circuit

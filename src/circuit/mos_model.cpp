@@ -24,11 +24,17 @@ double smooth_overdrive(double vov, double* dveff_dvov) {
   return 0.5 * (vov + root);
 }
 
+/// beta = kp * kp_scale * mu_factor * W / L, in exactly that product order.
+double beta_at(const MosProcess& p, const MosGeometry& g,
+               const MosVariation& var, double mu_factor) {
+  return p.kp * var.kp_scale * mu_factor * g.w / g.l;
+}
+
 /// Core evaluation assuming vds >= 0.  Returns id and derivatives w.r.t.
 /// (vgs, vds, vbs) in the given frame.
 MosEval eval_forward(const MosProcess& p, const MosGeometry& g,
                      const MosVariation& var, double vgs, double vds,
-                     double vbs, double temperature_k) {
+                     double vbs, double temperature_k, double mu_factor) {
   MosEval out;
   out.vth = mos_vth(p, var, vbs, temperature_k);
   out.vov = vgs - out.vth;
@@ -37,7 +43,7 @@ MosEval eval_forward(const MosProcess& p, const MosGeometry& g,
   const double veff = smooth_overdrive(out.vov, &dveff_dvov);
   out.vdsat = veff;
 
-  const double beta = mos_beta(p, g, var, temperature_k);
+  const double beta = beta_at(p, g, var, mu_factor);
   const double lambda = p.lambda_l / g.l;
 
   // dvth/dvbs for the body-effect conductance.  When the sqrt argument is
@@ -79,11 +85,14 @@ MosEval eval_forward(const MosProcess& p, const MosGeometry& g,
 
 double mos_cox(const MosProcess& process) { return kEpsOx / process.tox; }
 
+double mos_mu_factor(const MosProcess& process, double temperature_k) {
+  return std::pow(temperature_k / process.tnom, -process.mu_exp);
+}
+
 double mos_beta(const MosProcess& process, const MosGeometry& geometry,
                 const MosVariation& variation, double temperature_k) {
-  const double mu_factor =
-      std::pow(temperature_k / process.tnom, -process.mu_exp);
-  return process.kp * variation.kp_scale * mu_factor * geometry.w / geometry.l;
+  return beta_at(process, geometry, variation,
+                 mos_mu_factor(process, temperature_k));
 }
 
 double mos_vth(const MosProcess& process, const MosVariation& variation,
@@ -98,9 +107,16 @@ double mos_vth(const MosProcess& process, const MosVariation& variation,
 MosEval mos_eval(const MosProcess& process, const MosGeometry& geometry,
                  const MosVariation& variation, const MosBias& bias,
                  double temperature_k) {
+  return mos_eval(process, geometry, variation, bias, temperature_k,
+                  mos_mu_factor(process, temperature_k));
+}
+
+MosEval mos_eval(const MosProcess& process, const MosGeometry& geometry,
+                 const MosVariation& variation, const MosBias& bias,
+                 double temperature_k, double mu_factor) {
   if (bias.vds >= 0.0) {
     return eval_forward(process, geometry, variation, bias.vgs, bias.vds,
-                        bias.vbs, temperature_k);
+                        bias.vbs, temperature_k, mu_factor);
   }
   // Source/drain exchange: evaluate the mirrored device and map the
   // derivatives back to the original terminal frame.
@@ -108,8 +124,8 @@ MosEval mos_eval(const MosProcess& process, const MosGeometry& geometry,
   const double vgs2 = bias.vgs - bias.vds;
   const double vds2 = -bias.vds;
   const double vbs2 = bias.vbs - bias.vds;
-  MosEval fwd =
-      eval_forward(process, geometry, variation, vgs2, vds2, vbs2, temperature_k);
+  MosEval fwd = eval_forward(process, geometry, variation, vgs2, vds2, vbs2,
+                             temperature_k, mu_factor);
   MosEval out = fwd;
   out.swapped = true;
   // Chain rule on id = -id'(vgs - vds, -vds, vbs - vds): the current into

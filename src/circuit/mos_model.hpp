@@ -86,6 +86,17 @@ MosEval mos_eval(const MosProcess& process, const MosGeometry& geometry,
                  const MosVariation& variation, const MosBias& bias,
                  double temperature_k);
 
+/// Same evaluation with the mobility factor precomputed as
+/// `mos_mu_factor(process, temperature_k)`; bitwise identical to the
+/// overload above.  Lets a device pay the pow() once per temperature
+/// instead of once per Newton iteration.
+MosEval mos_eval(const MosProcess& process, const MosGeometry& geometry,
+                 const MosVariation& variation, const MosBias& bias,
+                 double temperature_k, double mu_factor);
+
+/// Mobility temperature factor (T/Tnom)^-mu_exp.
+double mos_mu_factor(const MosProcess& process, double temperature_k);
+
 /// Device capacitances from geometry.
 MosCaps mos_caps(const MosProcess& process, const MosGeometry& geometry);
 

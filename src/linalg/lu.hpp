@@ -11,6 +11,17 @@
 // allocation after the first system of a given size, and the pivoting and
 // elimination sequence is identical to the factorizing constructor, so a
 // ported caller cannot change a single result bit.
+//
+// MNA matrices are mostly structural zeros (branch rows hold two or three
+// entries), so the kernel skips work whose result is known: rows with an
+// exact-zero column-k entry are not eliminated, each rank-1 row update
+// covers only the pivot row's nonzero span, and the substitutions skip
+// exact-zero L and U entries.  For finite input every nonzero entry is
+// computed by the same operations in the same order as the dense loop; the
+// pivot choice, determinant() and SingularMatrixError index are unchanged,
+// and at most the sign of an exact zero differs.  (Inf/NaN input still
+// yields non-finite output, but `0 * inf` terms are no longer formed, so it
+// may reach fewer entries.)
 #pragma once
 
 #include <cmath>
@@ -48,11 +59,8 @@ class Lu {
   /// Empty workspace; fill `workspace(n)` and call `refactor()`.
   Lu() = default;
 
-  /// Factorizes `a`; throws SingularMatrixError if a pivot is exactly zero
-  /// or below `pivot_tolerance` relative to the largest entry.
-  explicit Lu(Matrix<T> a, double pivot_tolerance = 0.0) : lu_(std::move(a)) {
-    factor(pivot_tolerance);
-  }
+  /// Factorizes `a`; throws SingularMatrixError if a pivot is exactly zero.
+  explicit Lu(Matrix<T> a) : lu_(std::move(a)) { factor(); }
 
   /// Reshapes the internal matrix to n x n and returns it for the caller
   /// to fill (stamp or assemble), then factor with `refactor()`.  The
@@ -70,9 +78,16 @@ class Lu {
   /// Factors the current workspace contents in place.  Same pivoting and
   /// elimination sequence (and SingularMatrixError behavior) as the
   /// factorizing constructor; only the permutation buffer is reused.
-  void refactor(double pivot_tolerance = 0.0) { factor(pivot_tolerance); }
+  void refactor() { factor(); }
 
   std::size_t size() const { return lu_.rows(); }
+
+  /// Packed factors: unit-diagonal L strictly below the diagonal, U on and
+  /// above it, both for the row-permuted matrix.
+  const Matrix<T>& factors() const { return lu_; }
+  /// Row permutation: row i of the factored matrix is row permutation()[i]
+  /// of the input.
+  const std::vector<std::size_t>& permutation() const { return perm_; }
 
   /// Solves A x = b for one right-hand side.
   std::vector<T> solve(const std::vector<T>& b) const {
@@ -93,14 +108,16 @@ class Lu {
     for (std::size_t i = 0; i < n; ++i) {
       T acc = b[perm_[i]];
       const T* row_i = lu_.row(i);
-      for (std::size_t j = 0; j < i; ++j) acc -= row_i[j] * x[j];
+      for (std::size_t j = 0; j < i; ++j)
+        if (row_i[j] != T{}) acc -= row_i[j] * x[j];
       x[i] = acc;
     }
     // Back-substitute U.
     for (std::size_t ii = n; ii-- > 0;) {
       T acc = x[ii];
       const T* row_ii = lu_.row(ii);
-      for (std::size_t j = ii + 1; j < n; ++j) acc -= row_ii[j] * x[j];
+      for (std::size_t j = ii + 1; j < n; ++j)
+        if (row_ii[j] != T{}) acc -= row_ii[j] * x[j];
       x[ii] = acc / row_ii[ii];
     }
   }
@@ -113,28 +130,27 @@ class Lu {
   }
 
  private:
-  void factor(double pivot_tolerance) {
+  void factor() {
     if (lu_.rows() != lu_.cols())
       throw std::invalid_argument("Lu: matrix must be square");
     const std::size_t n = lu_.rows();
     perm_.resize(n);
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
     sign_ = 1;
-    const double scale = lu_.max_abs();
-    const double tol = pivot_tolerance * scale;
 
     for (std::size_t k = 0; k < n; ++k) {
-      // Find pivot row.
+      // Find pivot row.  |0| never beats `best`, so zeros need no abs().
       std::size_t piv = k;
       double best = std::abs(lu_(k, k));
       for (std::size_t r = k + 1; r < n; ++r) {
+        if (lu_(r, k) == T{}) continue;
         const double mag = std::abs(lu_(r, k));
         if (mag > best) {
           best = mag;
           piv = r;
         }
       }
-      if (best == 0.0 || best <= tol) throw SingularMatrixError(k);
+      if (best == 0.0) throw SingularMatrixError(k);
       if (piv != k) {
         for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
         std::swap(perm_[k], perm_[piv]);
@@ -146,12 +162,19 @@ class Lu {
       // overlap check (the update itself is elementwise, so the result
       // bits do not depend on the vector width).
       const T* __restrict__ row_k = lu_.row(k);
+      // Nonzero span [first, end) of the pivot row right of the diagonal:
+      // outside it the update would subtract an exact zero.
+      std::size_t end = n;
+      while (end > k + 1 && row_k[end - 1] == T{}) --end;
+      std::size_t first = k + 1;
+      while (first < end && row_k[first] == T{}) ++first;
       for (std::size_t r = k + 1; r < n; ++r) {
         T* __restrict__ row_r = lu_.row(r);
+        if (row_r[k] == T{}) continue;
         const T factor = row_r[k] / pivot;
         row_r[k] = factor;
         if (factor == T{}) continue;
-        for (std::size_t c = k + 1; c < n; ++c) row_r[c] -= factor * row_k[c];
+        for (std::size_t c = first; c < end; ++c) row_r[c] -= factor * row_k[c];
       }
     }
   }

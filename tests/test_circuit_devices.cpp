@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "circuit/netlist.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/system_matrix.hpp"
@@ -255,6 +258,82 @@ TEST(Mosfet, GeometryValidation) {
   EXPECT_EQ(m.geometry().w, 5e-6);
   m.set_length(2e-6);
   EXPECT_EQ(m.geometry().l, 2e-6);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Stamps the device at `temperature_k` and checks the stamped current and
+// conductances against the pure model, bit for bit.
+void expect_stamp_matches_pure_model(const Mosfet& m, std::size_t n,
+                                     double temperature_k,
+                                     const std::string& label) {
+  const NodeId d = m.drain();
+  const NodeId g = m.gate();
+  const NodeId s = m.source();
+  const NodeId b = m.bulk();
+  // Mirrored bias for PMOS, so both flavours conduct in saturation.
+  const double p = m.type() == MosType::kNmos ? 1.0 : -1.0;
+  Vector x(n);
+  x[d - 1] = p * 1.3;
+  x[g - 1] = p * 1.45;
+  x[s - 1] = p * 0.15;
+  x[b - 1] = p * -0.2;
+  const MosEval ref =
+      mos_eval(m.process(), m.geometry(), m.variation(),
+               {p * (x[g - 1] - x[s - 1]), p * (x[d - 1] - x[s - 1]),
+                p * (x[b - 1] - x[s - 1])},
+               temperature_k);
+
+  const MosEval direct =
+      m.evaluate_at(x[d - 1], x[g - 1], x[s - 1], x[b - 1], temperature_k);
+  EXPECT_EQ(bits(direct.id), bits(ref.id)) << label;
+  EXPECT_EQ(bits(direct.gm), bits(ref.gm)) << label;
+  EXPECT_EQ(bits(direct.gds), bits(ref.gds)) << label;
+  EXPECT_EQ(bits(direct.gmb), bits(ref.gmb)) << label;
+
+  Matrixd jac(n, n);
+  Vector res(n);
+  Conditions cond;
+  cond.temperature_k = temperature_k;
+  linalg::SystemMatrix system;
+  system.bind_dense(jac);
+  DcStamp stamp(x, system, res, n + 1, cond);
+  m.stamp_dc(stamp);
+  // Each entry is a single addition onto zero, so it holds the model value.
+  EXPECT_EQ(bits(res[d - 1]), bits(p * ref.id)) << label;
+  EXPECT_EQ(bits(jac(d - 1, g - 1)), bits(ref.gm)) << label;
+  EXPECT_EQ(bits(jac(d - 1, d - 1)), bits(ref.gds)) << label;
+  EXPECT_EQ(bits(jac(d - 1, b - 1)), bits(ref.gmb)) << label;
+}
+
+TEST(Mosfet, MobilityMemoMatchesPureModelBitwise) {
+  for (MosType type : {MosType::kNmos, MosType::kPmos}) {
+    Netlist nl;
+    const NodeId d = nl.add_node("d");
+    const NodeId g = nl.add_node("g");
+    const NodeId s = nl.add_node("s");
+    const NodeId b = nl.add_node("b");
+    MosProcess proc;
+    proc.mu_exp = 1.7;
+    proc.tnom = 298.15;
+    Mosfet& m = nl.add<Mosfet>("M1", type, d, g, s, b, proc,
+                               MosGeometry{12e-6, 0.8e-6});
+    const std::size_t n = nl.system_size();
+    const std::string kind = type == MosType::kNmos ? "nmos" : "pmos";
+    // T1 -> T2 -> T1 (and a repeat): a memo that is not refreshed, or not
+    // keyed on T, would serve a stale mobility factor.
+    for (double t : {300.15, 233.15, 300.15, 398.15, 398.15, 233.15})
+      expect_stamp_matches_pure_model(m, n, t, kind + " T=" + std::to_string(t));
+
+    // Geometry and variation edits with the memo warm.
+    m.set_geometry({20e-6, 1.5e-6});
+    expect_stamp_matches_pure_model(m, n, 233.15, kind + " after set_geometry");
+    m.set_variation({0.03, 1.08});
+    expect_stamp_matches_pure_model(m, n, 233.15, kind + " after set_variation");
+    m.set_width(7e-6);
+    expect_stamp_matches_pure_model(m, n, 300.15, kind + " after set_width");
+    expect_stamp_matches_pure_model(m, n, 233.15, kind + " back to 233.15");
+  }
 }
 
 }  // namespace

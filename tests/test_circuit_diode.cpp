@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "circuit/devices.hpp"
 #include "circuit/netlist.hpp"
@@ -126,6 +128,54 @@ TEST(Diode, AcConductanceAtOperatingPoint) {
   // Divider: v_a = gd^-1 / (1k + gd^-1).
   const double expected = (1.0 / gd) / (1e3 + 1.0 / gd);
   EXPECT_NEAR(std::abs(h), expected, expected * 1e-3);
+}
+
+// Closed form of the junction model with IS(T) recomputed on every call:
+// the reference the per-device temperature memo must reproduce.
+Diode::Eval diode_reference(double is, double n, double eg, double xti,
+                            double tnom, double v, double t) {
+  constexpr double kBoltzmannOverQ = 8.617333262e-5;
+  const double vt = n * kBoltzmannOverQ * t;
+  const double ratio = t / tnom;
+  const double vt_nom = n * kBoltzmannOverQ * tnom;
+  const double is_t =
+      is * std::pow(ratio, xti / n) * std::exp(eg / vt_nom * (ratio - 1.0) / ratio);
+  const double x = v / vt;
+  Diode::Eval out;
+  if (x <= 40.0) {
+    const double e = std::exp(x);
+    out.id = is_t * (e - 1.0);
+    out.gd = is_t * e / vt;
+  } else {
+    const double e = std::exp(40.0);
+    out.id = is_t * (e * (1.0 + (x - 40.0)) - 1.0);
+    out.gd = is_t * e / vt;
+  }
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Diode, TemperatureMemoMatchesClosedFormBitwise) {
+  Diode d("D1", 1, kGround, 2e-14, 1.3, 1.12, 3.2, 298.0);
+  // T1 -> T2 -> T1 and back again: a memo keyed on the wrong thing, or
+  // not refreshed, would serve a stale IS(T) here.
+  for (double t : {300.15, 233.15, 300.15, 398.15, 398.15, 233.15}) {
+    for (double v : {-0.3, 0.0, 0.45, 0.7, 4.0}) {
+      const Diode::Eval ref = diode_reference(2e-14, 1.3, 1.12, 3.2, 298.0, v, t);
+      const Diode::Eval got = d.evaluate(v, t);
+      EXPECT_EQ(bits(got.id), bits(ref.id)) << "T=" << t << " v=" << v;
+      EXPECT_EQ(bits(got.gd), bits(ref.gd)) << "T=" << t << " v=" << v;
+    }
+  }
+  // Changing IS after the memo is warm must take effect immediately.
+  d.set_saturation_current(5e-15);
+  for (double t : {233.15, 300.15}) {
+    const Diode::Eval ref = diode_reference(5e-15, 1.3, 1.12, 3.2, 298.0, 0.6, t);
+    const Diode::Eval got = d.evaluate(0.6, t);
+    EXPECT_EQ(bits(got.id), bits(ref.id)) << "T=" << t;
+    EXPECT_EQ(bits(got.gd), bits(ref.gd)) << "T=" << t;
+  }
 }
 
 TEST(Diode, ParsedFromSpice) {

@@ -91,8 +91,12 @@ TEST_F(IsValidationTest, FarShiftForcesEssFallback) {
     EXPECT_LE(e.lower, e.upper);
   }
   EXPECT_TRUE(any_fallback);
+#if MAYO_OBS_ENABLED  // the counter is a no-op shell under MAYO_OBS=OFF
   EXPECT_GT(obs::registry().counters.mc_is_ess_fallbacks.value(),
             fallbacks_before);
+#else
+  (void)fallbacks_before;
+#endif
 }
 
 }  // namespace

@@ -69,6 +69,11 @@ mkdir -p bench-reports
 build-ci-release-werror/bench/bm_is_verify --smoke \
   --json bench-reports/BENCH_is_verify.json
 
+# End-to-end yield-run benchmark at smoke budgets: all four workloads with
+# every correctness check on (e2ebench/ builds its own Release tree).
+echo "=== [release-werror] end-to-end benchmark smoke ==="
+python3 e2ebench/run_benchmark.py --smoke --out bench-reports/e2e_smoke.json
+
 # The obs counters and spans must compile out completely: same tests,
 # instrumentation shells only (test_obs pins the no-op behaviour).
 run_config obs-off Release "" -DMAYO_OBS=OFF
