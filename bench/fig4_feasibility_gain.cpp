@@ -41,7 +41,7 @@ int main() {
     const linalg::Vector margins = model->saturation_margins(d);
     const double min_margin = *std::min_element(margins.begin(), margins.end());
     std::printf("%10.1f %10.2f %14.3f %10s\n", w_um,
-                m.valid ? m.a0_db : -999.0, min_margin,
+                m.ac_valid ? m.a0_db : -999.0, min_margin,
                 min_margin >= 0.0 ? "yes" : "NO");
     (min_margin >= 0.0 ? inside : outside).push_back({w_um, m.a0_db, min_margin});
   }

@@ -177,37 +177,6 @@ std::unique_ptr<FoldedCascode::Bench> FoldedCascode::build_bench(
   return bench;
 }
 
-namespace {
-
-/// 10%-90% rise-time slew measurement on a step response.
-double slew_from_step(const std::vector<double>& time,
-                      const std::vector<double>& v) {
-  if (v.size() < 3) return 0.0;
-  const double v_start = v.front();
-  const double v_end = v.back();
-  const double delta = v_end - v_start;
-  if (std::abs(delta) < 1e-6) return 0.0;
-  const double v10 = v_start + 0.1 * delta;
-  const double v90 = v_start + 0.9 * delta;
-  const auto crossing = [&](double level) {
-    for (std::size_t k = 1; k < v.size(); ++k) {
-      const bool crossed = delta > 0.0 ? (v[k - 1] < level && v[k] >= level)
-                                       : (v[k - 1] > level && v[k] <= level);
-      if (crossed) {
-        const double f = (level - v[k - 1]) / (v[k] - v[k - 1]);
-        return time[k - 1] + f * (time[k] - time[k - 1]);
-      }
-    }
-    return -1.0;
-  };
-  const double t10 = crossing(v10);
-  const double t90 = crossing(v90);
-  if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return 0.0;
-  return 0.8 * std::abs(delta) / (t90 - t10);
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ construction --
 
 FoldedCascode::FoldedCascode() : FoldedCascode(Options()) {}
@@ -376,12 +345,10 @@ void FoldedCascode::ensure_sr_section(DesignContext& ctx, const Vector& d,
 
 // ----------------------------------------------------------- measurements --
 
-FoldedCascode::Measurements FoldedCascode::measure_with_context(
-    DesignContext& ctx, const Vector& d, const Vector& s, const Vector& theta) {
-  Measurements out;
-  Conditions conditions{theta[0]};
-
-  // --- open-loop AC bench: A0, ft, CMRR, power -------------------------
+void FoldedCascode::measure_ac(DesignContext& ctx, const Vector& d,
+                               const Vector& s, const Vector& theta,
+                               Measurements& out) {
+  const Conditions conditions{theta[0]};
   Bench& ac = *ac_bench_;
   apply(ac, d, s, theta);
   sim::DcOptions ac_dc;
@@ -389,7 +356,7 @@ FoldedCascode::Measurements FoldedCascode::measure_with_context(
   ac_dc.workspace = &newton_ac_;
   sim::DcResult op = sim::solve_dc(
       ac.netlist, conditions, ac_dc, ctx.ac_converged ? &ctx.op_ac : nullptr);
-  if (!op.converged) return out;  // valid stays false
+  if (!op.converged) return;  // ac_valid stays false
 
   out.power_mw =
       1e3 * sim::measure_supply_power(ac.netlist, op.solution, {ac.vdd});
@@ -412,8 +379,13 @@ FoldedCascode::Measurements FoldedCascode::measure_with_context(
   ac_session_.stamp(ac.netlist, op.solution, conditions);
   const double acm_db = sim::to_db(ac_session_.node_voltage(1.0, ac.out));
   out.cmrr_db = out.a0_db - acm_db;
+  out.ac_valid = true;
+}
 
-  // --- unity-gain transient bench: positive slew rate -------------------
+void FoldedCascode::measure_sr(DesignContext& ctx, const Vector& d,
+                               const Vector& s, const Vector& theta,
+                               Measurements& out) {
+  const Conditions conditions{theta[0]};
   Bench& sr = *sr_bench_;
   apply(sr, d, s, theta);
   const double vcm = 0.5 * theta[1];
@@ -423,7 +395,7 @@ FoldedCascode::Measurements FoldedCascode::measure_with_context(
   sr_dc.workspace = &newton_sr_;
   sim::DcResult sr_op = sim::solve_dc(
       sr.netlist, conditions, sr_dc, ctx.sr_converged ? &ctx.op_sr : nullptr);
-  if (!sr_op.converged) return out;
+  if (!sr_op.converged) return;  // sr_valid stays false
 
   const double step = options_.sr_step;
   sr.vinp->set_waveform([vcm, step](double t) {
@@ -438,49 +410,78 @@ FoldedCascode::Measurements FoldedCascode::measure_with_context(
   const sim::TranResult tr =
       sim::solve_transient(sr.netlist, sr_op.solution, conditions, tran);
   sr.vinp->clear_waveform();
-  if (!tr.converged) return out;
-  out.sr_v_per_us = 1e-6 * slew_from_step(tr.time, tr.node_voltage(sr.out));
+  if (!tr.converged) return;
+  out.sr_v_per_us =
+      1e-6 * sim::measure_slew_rate(tr.time, tr.node_voltage(sr.out));
+  out.sr_valid = true;
+}
 
-  out.valid = true;
-  return out;
+void FoldedCascode::measure_with_context(DesignContext& ctx, const Vector& d,
+                                         const Vector& s, const Vector& theta,
+                                         core::AnalysisMask analyses,
+                                         Measurements& out) {
+  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
+    measure_ac(ctx, d, s, theta, out);
+  if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
+    measure_sr(ctx, d, s, theta, out);
+}
+
+FoldedCascode::DesignContext& FoldedCascode::prepared_context(
+    const Vector& d, const Vector& theta, core::AnalysisMask analyses) {
+  DesignContext& ctx = design_context(d, theta);
+  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
+    ensure_ft_section(ctx, d, theta);  // builds the AC section too
+  if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
+    ensure_sr_section(ctx, d, theta);
+  return ctx;
 }
 
 FoldedCascode::Measurements FoldedCascode::measure(const Vector& d,
                                                    const Vector& s,
                                                    const Vector& theta) {
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);  // builds the AC section too
-  ensure_sr_section(ctx, d, theta);
-  return measure_with_context(ctx, d, s, theta);
+  Measurements out;
+  measure_with_context(prepared_context(d, theta, kAllAnalyses), d, s, theta,
+                       kAllAnalyses, out);
+  return out;
+}
+
+std::size_t FoldedCascode::analysis_of(std::size_t performance) const {
+  return performance == 3 ? kSlewAnalysis : kAcAnalysis;
 }
 
 namespace {
+/// Writes the performances into out[0..4].  A bench that failed to
+/// converge (or did not run) gets finite penalty values that fail its own
+/// specifications decisively; the other bench's entries do not depend on
+/// it, so a row never depends on which analyses were requested together.
 void pack_performances(const FoldedCascode::Measurements& m, double* out) {
-  if (!m.valid) {
-    // Penalty values: fail every specification decisively but finitely.
-    out[0] = -20.0;  // A0 [dB]
-    out[1] = 0.0;    // ft [MHz]
-    out[2] = 0.0;    // CMRR [dB]
-    out[3] = 0.0;    // SR [V/us]
-    out[4] = 10.0;   // Power [mW]
-    return;
-  }
-  out[0] = m.a0_db;
-  out[1] = m.ft_mhz;
-  out[2] = m.cmrr_db;
-  out[3] = m.sr_v_per_us;
-  out[4] = m.power_mw;
+  const bool ok = m.ac_valid;
+  out[0] = ok ? m.a0_db : -20.0;    // A0 [dB]
+  out[1] = ok ? m.ft_mhz : 0.0;     // ft [MHz]
+  out[2] = ok ? m.cmrr_db : 0.0;    // CMRR [dB]
+  out[4] = ok ? m.power_mw : 10.0;  // Power [mW]
+  out[3] = m.sr_valid ? m.sr_v_per_us : 0.0;  // SR [V/us]
 }
 }  // namespace
 
 linalg::PerfVec FoldedCascode::evaluate(const linalg::DesignVec& d,
                                         const linalg::StatPhysVec& s,
                                         const linalg::OperatingVec& theta) {
-  linalg::PerfVec out(5);
+  return evaluate_analyses(d, s, theta, kAllAnalyses);
+}
+
+linalg::PerfVec FoldedCascode::evaluate_analyses(
+    const linalg::DesignVec& d_tagged, const linalg::StatPhysVec& s_tagged,
+    const linalg::OperatingVec& theta_tagged, core::AnalysisMask analyses) {
   // Unwrap once: bench internals are untyped numeric code.
-  pack_performances(
-      measure(d.raw(), s.raw(), theta.raw()),  // space-ok: model boundary
-      &out[0]);
+  const Vector& d = d_tagged.raw();          // space-ok: model boundary
+  const Vector& s = s_tagged.raw();          // space-ok: model boundary
+  const Vector& theta = theta_tagged.raw();  // space-ok: model boundary
+  Measurements m;
+  measure_with_context(prepared_context(d, theta, analyses), d, s, theta,
+                       analyses, m);
+  linalg::PerfVec out(5);
+  pack_performances(m, &out[0]);
   return out;
 }
 
@@ -499,15 +500,14 @@ void FoldedCascode::evaluate_batch(const linalg::DesignVec& d_tagged,
   // Hoist the nominal solves (bias point, ft bracket, slew trajectory) out
   // of the sample loop; every row then runs the same per-sample code as
   // evaluate(), so the results are bitwise-identical to the scalar path.
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);
-  ensure_sr_section(ctx, d, theta);
+  DesignContext& ctx = prepared_context(d, theta, kAllAnalyses);
   if (batch_s_.size() != s_block.cols()) batch_s_ = Vector(s_block.cols());
   for (std::size_t j = 0; j < s_block.rows(); ++j) {
     const double* row = s_block.row(j);
     for (std::size_t i = 0; i < batch_s_.size(); ++i) batch_s_[i] = row[i];
-    pack_performances(measure_with_context(ctx, d, batch_s_, theta),
-                      out.row(j));
+    Measurements m;
+    measure_with_context(ctx, d, batch_s_, theta, kAllAnalyses, m);
+    pack_performances(m, out.row(j));
   }
 }
 

@@ -8,6 +8,9 @@
 //     closes the loop at DC so the operating point is biased, transparent
 //     to every AC frequency of interest) measuring A0, f_t, CMRR, power;
 //   * a unity-gain transient bench measuring the positive slew rate.
+// The two benches are the model's two analyses (analysis_of): a request
+// for A0, ft, CMRR or power never runs the transient, a request for the
+// slew rate never runs the AC bench.
 //
 // Performances (in spec order): A0 [dB], f_t [MHz], CMRR [dB],
 // SR+ [V/us], Power [mW].
@@ -85,14 +88,28 @@ class FoldedCascode final : public core::PerformanceModel {
   explicit FoldedCascode(Options options);
   ~FoldedCascode() override;
 
+  /// The model's analyses: the open-loop AC bench (A0, ft, CMRR, power)
+  /// and the unity-gain transient bench (SR+).
+  enum Analysis : std::size_t { kAcAnalysis = 0, kSlewAnalysis = 1 };
+  static constexpr core::AnalysisMask kAllAnalyses =
+      core::analysis_bit(kAcAnalysis) | core::analysis_bit(kSlewAnalysis);
+
   // -- PerformanceModel ----------------------------------------------------
   std::size_t num_performances() const override { return 5; }
+  std::size_t analysis_of(std::size_t performance) const override;
   std::size_t num_constraints() const override { return 11; }
   std::vector<std::string> constraint_names() const override;
   std::unique_ptr<core::PerformanceModel> clone() const override;
   linalg::PerfVec evaluate(const linalg::DesignVec& d,
                            const linalg::StatPhysVec& s,
                            const linalg::OperatingVec& theta) override;
+  /// Runs only the requested benches; each bench's entries are bitwise
+  /// those of evaluate(), and a bench that fails to converge penalizes
+  /// only its own performances.
+  linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
+                                    const linalg::StatPhysVec& s,
+                                    const linalg::OperatingVec& theta,
+                                    core::AnalysisMask analyses) override;
   /// Native batch path: the per-(d, theta) nominal solves (bias point, ft
   /// bracket, slew trajectory) are built once and every sample row reuses
   /// them as warm starts.  Row results are bitwise-identical to evaluate()
@@ -110,7 +127,8 @@ class FoldedCascode final : public core::PerformanceModel {
     double cmrr_db = 0.0;
     double sr_v_per_us = 0.0;
     double power_mw = 0.0;
-    bool valid = false;  ///< false when the DC solve failed
+    bool ac_valid = false;  ///< AC bench converged (A0, ft, CMRR, power)
+    bool sr_valid = false;  ///< transient bench converged (SR+)
   };
   Measurements measure(const linalg::Vector& d, const linalg::Vector& s,
                        const linalg::Vector& theta);
@@ -156,10 +174,24 @@ class FoldedCascode final : public core::PerformanceModel {
                          const linalg::Vector& theta);
   void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
                          const linalg::Vector& theta);
-  Measurements measure_with_context(DesignContext& ctx,
-                                    const linalg::Vector& d,
-                                    const linalg::Vector& s,
-                                    const linalg::Vector& theta);
+  /// Context for (d, theta) with the sections the requested analyses
+  /// seed from.
+  DesignContext& prepared_context(const linalg::Vector& d,
+                                  const linalg::Vector& theta,
+                                  core::AnalysisMask analyses);
+  /// Per-sample measurement halves: the AC bench and the slew bench, each
+  /// reading only its own context section.
+  void measure_ac(DesignContext& ctx, const linalg::Vector& d,
+                  const linalg::Vector& s, const linalg::Vector& theta,
+                  Measurements& out);
+  void measure_sr(DesignContext& ctx, const linalg::Vector& d,
+                  const linalg::Vector& s, const linalg::Vector& theta,
+                  Measurements& out);
+  /// Runs the requested halves into `out`.
+  void measure_with_context(DesignContext& ctx, const linalg::Vector& d,
+                            const linalg::Vector& s,
+                            const linalg::Vector& theta,
+                            core::AnalysisMask analyses, Measurements& out);
 
   Options options_;
   std::unique_ptr<Bench> ac_bench_;   ///< open-loop AC testbench

@@ -274,13 +274,9 @@ void Miller::ensure_sr_section(DesignContext& ctx, const Vector& d,
   }
 }
 
-Miller::Measurements Miller::measure_with_context(DesignContext& ctx,
-                                                  const Vector& d,
-                                                  const Vector& s,
-                                                  const Vector& theta) {
-  Measurements out;
-  Conditions conditions{theta[0]};
-
+void Miller::measure_ac(DesignContext& ctx, const Vector& d, const Vector& s,
+                        const Vector& theta, Measurements& out) {
+  const Conditions conditions{theta[0]};
   Bench& ac = *ac_bench_;
   apply(ac, d, s, theta);
   sim::DcOptions ac_dc;
@@ -288,7 +284,7 @@ Miller::Measurements Miller::measure_with_context(DesignContext& ctx,
   ac_dc.workspace = &newton_ac_;
   sim::DcResult op = sim::solve_dc(
       ac.netlist, conditions, ac_dc, ctx.ac_converged ? &ctx.op_ac : nullptr);
-  if (!op.converged) return out;
+  if (!op.converged) return;  // ac_valid stays false
 
   out.power_mw =
       1e3 * sim::measure_supply_power(ac.netlist, op.solution, {ac.vdd});
@@ -303,7 +299,12 @@ Miller::Measurements Miller::measure_with_context(DesignContext& ctx,
   out.a0_db = gb.a0_db;
   out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
   out.pm_deg = gb.ft_found ? gb.phase_margin_deg : 0.0;
+  out.ac_valid = true;
+}
 
+void Miller::measure_sr(DesignContext& ctx, const Vector& d, const Vector& s,
+                        const Vector& theta, Measurements& out) {
+  const Conditions conditions{theta[0]};
   Bench& sr = *sr_bench_;
   apply(sr, d, s, theta);
   const double vcm = 0.5 * theta[1];
@@ -313,7 +314,7 @@ Miller::Measurements Miller::measure_with_context(DesignContext& ctx,
   sr_dc.workspace = &newton_sr_;
   sim::DcResult sr_op = sim::solve_dc(
       sr.netlist, conditions, sr_dc, ctx.sr_converged ? &ctx.op_sr : nullptr);
-  if (!sr_op.converged) return out;
+  if (!sr_op.converged) return;  // sr_valid stays false
 
   const double step = options_.sr_step;
   sr.vinp->set_waveform([vcm, step](double t) {
@@ -328,69 +329,76 @@ Miller::Measurements Miller::measure_with_context(DesignContext& ctx,
   const sim::TranResult tr =
       sim::solve_transient(sr.netlist, sr_op.solution, conditions, tran);
   sr.vinp->clear_waveform();
-  if (!tr.converged) return out;
+  if (!tr.converged) return;
+  out.sr_v_per_us =
+      1e-6 * sim::measure_slew_rate(tr.time, tr.node_voltage(sr.out));
+  out.sr_valid = true;
+}
 
-  // 10%-90% rise-time based slew estimate.
-  const std::vector<double> v = tr.node_voltage(sr.out);
-  const double delta = v.back() - v.front();
-  double slew = 0.0;
-  if (std::abs(delta) > 1e-6) {
-    const double v10 = v.front() + 0.1 * delta;
-    const double v90 = v.front() + 0.9 * delta;
-    double t10 = -1.0;
-    double t90 = -1.0;
-    for (std::size_t k = 1; k < v.size(); ++k) {
-      if (t10 < 0.0 && v[k - 1] < v10 && v[k] >= v10) {
-        const double f = (v10 - v[k - 1]) / (v[k] - v[k - 1]);
-        t10 = tr.time[k - 1] + f * (tr.time[k] - tr.time[k - 1]);
-      }
-      if (t90 < 0.0 && v[k - 1] < v90 && v[k] >= v90) {
-        const double f = (v90 - v[k - 1]) / (v[k] - v[k - 1]);
-        t90 = tr.time[k - 1] + f * (tr.time[k] - tr.time[k - 1]);
-      }
-    }
-    if (t10 >= 0.0 && t90 > t10) slew = 0.8 * std::abs(delta) / (t90 - t10);
-  }
-  out.sr_v_per_us = 1e-6 * slew;
+void Miller::measure_with_context(DesignContext& ctx, const Vector& d,
+                                  const Vector& s, const Vector& theta,
+                                  core::AnalysisMask analyses,
+                                  Measurements& out) {
+  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
+    measure_ac(ctx, d, s, theta, out);
+  if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
+    measure_sr(ctx, d, s, theta, out);
+}
 
-  out.valid = true;
-  return out;
+Miller::DesignContext& Miller::prepared_context(const Vector& d,
+                                                const Vector& theta,
+                                                core::AnalysisMask analyses) {
+  DesignContext& ctx = design_context(d, theta);
+  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
+    ensure_ft_section(ctx, d, theta);  // builds the AC section too
+  if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
+    ensure_sr_section(ctx, d, theta);
+  return ctx;
 }
 
 Miller::Measurements Miller::measure(const Vector& d, const Vector& s,
                                      const Vector& theta) {
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);  // builds the AC section too
-  ensure_sr_section(ctx, d, theta);
-  return measure_with_context(ctx, d, s, theta);
+  Measurements out;
+  measure_with_context(prepared_context(d, theta, kAllAnalyses), d, s, theta,
+                       kAllAnalyses, out);
+  return out;
+}
+
+std::size_t Miller::analysis_of(std::size_t performance) const {
+  return performance == 3 ? kSlewAnalysis : kAcAnalysis;
 }
 
 namespace {
+/// Writes the performances into out[0..4]; a bench that failed to converge
+/// (or did not run) penalizes only its own performances.
 void pack_performances(const Miller::Measurements& m, double* out) {
-  if (!m.valid) {
-    out[0] = -20.0;
-    out[1] = 0.0;
-    out[2] = 0.0;
-    out[3] = 0.0;
-    out[4] = 10.0;
-    return;
-  }
-  out[0] = m.a0_db;
-  out[1] = m.ft_mhz;
-  out[2] = m.pm_deg;
-  out[3] = m.sr_v_per_us;
-  out[4] = m.power_mw;
+  const bool ok = m.ac_valid;
+  out[0] = ok ? m.a0_db : -20.0;
+  out[1] = ok ? m.ft_mhz : 0.0;
+  out[2] = ok ? m.pm_deg : 0.0;
+  out[4] = ok ? m.power_mw : 10.0;
+  out[3] = m.sr_valid ? m.sr_v_per_us : 0.0;
 }
 }  // namespace
 
 linalg::PerfVec Miller::evaluate(const linalg::DesignVec& d,
                                  const linalg::StatPhysVec& s,
                                  const linalg::OperatingVec& theta) {
-  linalg::PerfVec out(5);
+  return evaluate_analyses(d, s, theta, kAllAnalyses);
+}
+
+linalg::PerfVec Miller::evaluate_analyses(
+    const linalg::DesignVec& d_tagged, const linalg::StatPhysVec& s_tagged,
+    const linalg::OperatingVec& theta_tagged, core::AnalysisMask analyses) {
   // Unwrap once: bench internals are untyped numeric code.
-  pack_performances(
-      measure(d.raw(), s.raw(), theta.raw()),  // space-ok: model boundary
-      &out[0]);
+  const Vector& d = d_tagged.raw();          // space-ok: model boundary
+  const Vector& s = s_tagged.raw();          // space-ok: model boundary
+  const Vector& theta = theta_tagged.raw();  // space-ok: model boundary
+  Measurements m;
+  measure_with_context(prepared_context(d, theta, analyses), d, s, theta,
+                       analyses, m);
+  linalg::PerfVec out(5);
+  pack_performances(m, &out[0]);
   return out;
 }
 
@@ -405,15 +413,14 @@ void Miller::evaluate_batch(const linalg::DesignVec& d_tagged,
   linalg::MatrixView out = out_tagged.raw();         // space-ok: model boundary
   if (out.rows() != s_block.rows() || out.cols() != num_performances())
     throw std::invalid_argument("Miller::evaluate_batch: out shape mismatch");
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);
-  ensure_sr_section(ctx, d, theta);
+  DesignContext& ctx = prepared_context(d, theta, kAllAnalyses);
   if (batch_s_.size() != s_block.cols()) batch_s_ = Vector(s_block.cols());
   for (std::size_t j = 0; j < s_block.rows(); ++j) {
     const double* row = s_block.row(j);
     for (std::size_t i = 0; i < batch_s_.size(); ++i) batch_s_[i] = row[i];
-    pack_performances(measure_with_context(ctx, d, batch_s_, theta),
-                      out.row(j));
+    Measurements m;
+    measure_with_context(ctx, d, batch_s_, theta, kAllAnalyses, m);
+    pack_performances(m, out.row(j));
   }
 }
 

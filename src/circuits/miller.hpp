@@ -4,7 +4,8 @@
 // with NMOS current sink, RC (Miller + nulling resistor) compensation.
 // Same testbench pattern as the folded cascode: an open-loop AC bench
 // (DC-feedback biased) for A0, f_t, phase margin and power, and a
-// unity-gain transient bench for the slew rate.
+// unity-gain transient bench for the slew rate.  The two benches are the
+// model's two analyses (analysis_of), run only when a request reads them.
 //
 // Performances (spec order): A0 [dB], f_t [MHz], PM [deg], SR+ [V/us],
 // Power [mW].
@@ -75,13 +76,27 @@ class Miller final : public core::PerformanceModel {
   explicit Miller(Options options);
   ~Miller() override;
 
+  /// The model's analyses: the open-loop AC bench (A0, ft, PM, power) and
+  /// the unity-gain transient bench (SR+).
+  enum Analysis : std::size_t { kAcAnalysis = 0, kSlewAnalysis = 1 };
+  static constexpr core::AnalysisMask kAllAnalyses =
+      core::analysis_bit(kAcAnalysis) | core::analysis_bit(kSlewAnalysis);
+
   std::size_t num_performances() const override { return 5; }
+  std::size_t analysis_of(std::size_t performance) const override;
   std::size_t num_constraints() const override { return 7; }
   std::vector<std::string> constraint_names() const override;
   std::unique_ptr<core::PerformanceModel> clone() const override;
   linalg::PerfVec evaluate(const linalg::DesignVec& d,
                            const linalg::StatPhysVec& s,
                            const linalg::OperatingVec& theta) override;
+  /// Runs only the requested benches; each bench's entries are bitwise
+  /// those of evaluate(), and a bench that fails to converge penalizes
+  /// only its own performances.
+  linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
+                                    const linalg::StatPhysVec& s,
+                                    const linalg::OperatingVec& theta,
+                                    core::AnalysisMask analyses) override;
   /// Native batch path: per-(d, theta) nominal solves (bias point, ft
   /// bracket, slew trajectory) are built once; each sample row reuses them
   /// as warm starts and is bitwise-identical to the scalar evaluate().
@@ -98,7 +113,8 @@ class Miller final : public core::PerformanceModel {
     double pm_deg = 0.0;
     double sr_v_per_us = 0.0;
     double power_mw = 0.0;
-    bool valid = false;
+    bool ac_valid = false;  ///< AC bench converged (A0, ft, PM, power)
+    bool sr_valid = false;  ///< transient bench converged (SR+)
   };
   Measurements measure(const linalg::Vector& d, const linalg::Vector& s,
                        const linalg::Vector& theta);
@@ -129,10 +145,24 @@ class Miller final : public core::PerformanceModel {
                          const linalg::Vector& theta);
   void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
                          const linalg::Vector& theta);
-  Measurements measure_with_context(DesignContext& ctx,
-                                    const linalg::Vector& d,
-                                    const linalg::Vector& s,
-                                    const linalg::Vector& theta);
+  /// Context for (d, theta) with the sections the requested analyses
+  /// seed from.
+  DesignContext& prepared_context(const linalg::Vector& d,
+                                  const linalg::Vector& theta,
+                                  core::AnalysisMask analyses);
+  /// Per-sample measurement halves, each reading only its own context
+  /// section.
+  void measure_ac(DesignContext& ctx, const linalg::Vector& d,
+                  const linalg::Vector& s, const linalg::Vector& theta,
+                  Measurements& out);
+  void measure_sr(DesignContext& ctx, const linalg::Vector& d,
+                  const linalg::Vector& s, const linalg::Vector& theta,
+                  Measurements& out);
+  /// Runs the requested halves into `out`.
+  void measure_with_context(DesignContext& ctx, const linalg::Vector& d,
+                            const linalg::Vector& s,
+                            const linalg::Vector& theta,
+                            core::AnalysisMask analyses, Measurements& out);
 
   Options options_;
   std::unique_ptr<Bench> ac_bench_;

@@ -1,6 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -37,6 +38,14 @@ Evaluator::Evaluator(YieldProblem& problem, const CacheOptions& cache)
       constraint_cache_(0, cache.hash,
                         &obs::registry().counters.constraint_cache) {
   problem.validate();
+  spec_analysis_.resize(num_specs());
+  for (std::size_t i = 0; i < num_specs(); ++i) {
+    const std::size_t analysis = problem_.model->analysis_of(i);
+    if (analysis >= kMaxAnalyses)
+      throw std::invalid_argument("Evaluator: model analysis index out of range");
+    spec_analysis_[i] = analysis_bit(analysis);
+    all_analyses_ |= spec_analysis_[i];
+  }
 }
 
 void Evaluator::clear_cache() {
@@ -54,40 +63,70 @@ void Evaluator::validate_point(const DesignVec& d, const OperatingVec& theta,
     throw std::invalid_argument("Evaluator: operating vector size mismatch");
 }
 
+void Evaluator::charge(Budget budget) {
+  if (budget == Budget::kOptimization)
+    ++counts_.optimization;
+  else
+    ++counts_.verification;
+}
+
+Vector Evaluator::run_model(const DesignVec& d, const StatPhysVec& s,
+                            const OperatingVec& theta, AnalysisMask analyses) {
+  Vector values =
+      problem_.model->evaluate_analyses(d, s, theta, analyses).raw();
+  if (values.size() != num_specs())
+    throw std::runtime_error("Evaluator: model returned wrong performance count");
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if ((spec_analysis_[i] & analyses) == 0) values[i] = 0.0;
+  // Every downstream consumer (worst-case search, linearization, yield
+  // accumulation) assumes finite performances; catch a silent NaN at the
+  // single point where model output enters the system.
+  MAYO_CHECK_FINITE(values, "Evaluator: model performance values");
+  obs::registry().counters.eval_analyses.add(
+      static_cast<std::uint64_t>(std::popcount(analyses)));
+  return values;
+}
+
+void Evaluator::complete_row(CachedRow& row, const DesignVec& d,
+                             const StatUnitVec& s_hat,
+                             const OperatingVec& theta, AnalysisMask missing) {
+  const StatPhysVec s = problem_.statistical.to_physical(s_hat, d);
+  const Vector fresh = run_model(d, s, theta, missing);
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    if ((spec_analysis_[i] & missing) != 0) row.values[i] = fresh[i];
+  row.analyses |= missing;
+}
+
 Vector Evaluator::evaluate_physical(const DesignVec& d,
                                     const StatUnitVec& s_hat,
-                                    const OperatingVec& theta, Budget budget) {
+                                    const OperatingVec& theta, Budget budget,
+                                    AnalysisMask wanted) {
   validate_point(d, theta, s_hat.size());
 
   scalar_key_.clear();
   ProbeCache::append_bits(scalar_key_, d.raw());
   ProbeCache::append_bits(scalar_key_, s_hat.raw());
   ProbeCache::append_bits(scalar_key_, theta.raw());
-  if (const Vector* hit = cache_.find(scalar_key_)) {
+  if (CachedRow* hit = cache_.find(scalar_key_)) {
     ++counts_.cache_hits;
-    return *hit;
+    const AnalysisMask missing = wanted & ~hit->analyses;
+    if (missing != 0) complete_row(*hit, d, s_hat, theta, missing);
+    return hit->values;
   }
 
   // Variable-covariance transform: s = G(d) s_hat + s0 (eq. 11).
   const StatPhysVec s = problem_.statistical.to_physical(s_hat, d);
-  Vector values = problem_.model->evaluate(d, s, theta).raw();
-  if (values.size() != num_specs())
-    throw std::runtime_error("Evaluator: model returned wrong performance count");
-  // Every downstream consumer (worst-case search, linearization, yield
-  // accumulation) assumes finite performances; catch a silent NaN at the
-  // single point where model output enters the system.
-  MAYO_CHECK_FINITE(values, "Evaluator: model performance values");
-  if (budget == Budget::kOptimization)
-    ++counts_.optimization;
-  else
-    ++counts_.verification;
-  cache_.insert(scalar_key_, values);
+  Vector values = run_model(d, s, theta, wanted);
+  obs::registry().counters.eval_analyses_skipped.add(
+      static_cast<std::uint64_t>(std::popcount(all_analyses_ & ~wanted)));
+  charge(budget);
+  cache_.insert(scalar_key_, CachedRow{values, wanted});
   return values;
 }
 
 PerfVec Evaluator::performances(const DesignVec& d, const StatUnitVec& s_hat,
                                 const OperatingVec& theta, Budget budget) {
-  return PerfVec(evaluate_physical(d, s_hat, theta, budget));
+  return PerfVec(evaluate_physical(d, s_hat, theta, budget, all_analyses_));
 }
 
 void Evaluator::performances_batch(const DesignVec& d,
@@ -120,10 +159,17 @@ void Evaluator::performances_batch(const DesignVec& d,
     ProbeCache::append_bits(ws.key, d.raw());
     ProbeCache::append_bits(ws.key, s_hat_block.row(j), n_s);
     ProbeCache::append_bits(ws.key, theta.raw());
-    if (const Vector* hit = cache_.find(ws.key)) {
+    if (CachedRow* hit = cache_.find(ws.key)) {
       ++counts_.cache_hits;
+      if (hit->analyses != all_analyses_) {
+        // A row a single-spec probe left partial: run only what it lacks.
+        const double* src = s_hat_block.row(j);
+        StatUnitVec s_hat(n_s);  // hot-ok: cold completion of a partial row
+        for (std::size_t i = 0; i < n_s; ++i) s_hat[i] = src[i];
+        complete_row(*hit, d, s_hat, theta, all_analyses_ & ~hit->analyses);
+      }
       double* out_row = out.row(j);
-      for (std::size_t i = 0; i < n_f; ++i) out_row[i] = (*hit)[i];
+      for (std::size_t i = 0; i < n_f; ++i) out_row[i] = hit->values[i];
       continue;
     }
     bool duplicate = false;
@@ -170,17 +216,17 @@ void Evaluator::performances_batch(const DesignVec& d,
                                            ws.sigma);
     problem_.model->evaluate_batch(d, physical_view, theta, values_view);
 
+    obs::registry().counters.eval_analyses.add(
+        misses * static_cast<std::uint64_t>(std::popcount(all_analyses_)));
     for (std::size_t m = 0; m < misses; ++m) {
       const double* row = ws.values.row(m);
       MAYO_CHECK_FINITE((std::span<const double>(row, n_f)),
                         "Evaluator: model performance values");
-      if (budget == Budget::kOptimization)
-        ++counts_.optimization;
-      else
-        ++counts_.verification;
+      charge(budget);
       Vector stored(n_f);  // hot-ok: ownership moves into the cache
       for (std::size_t i = 0; i < n_f; ++i) stored[i] = row[i];
-      cache_.insert(std::move(ws.miss_keys[m]), std::move(stored));
+      cache_.insert(std::move(ws.miss_keys[m]),
+                    CachedRow{std::move(stored), all_analyses_});
     }
   }
 
@@ -215,7 +261,8 @@ void Evaluator::margins_batch(const DesignVec& d,
 
 MarginVec Evaluator::margins(const DesignVec& d, const StatUnitVec& s_hat,
                              const OperatingVec& theta, Budget budget) {
-  const Vector values = evaluate_physical(d, s_hat, theta, budget);
+  const Vector values =
+      evaluate_physical(d, s_hat, theta, budget, all_analyses_);
   MarginVec m(num_specs());
   for (std::size_t i = 0; i < num_specs(); ++i)
     m[i] = problem_.specs[i].margin(values[i]);
@@ -227,7 +274,8 @@ double Evaluator::margin(std::size_t spec, const DesignVec& d,
                          Budget budget) {
   if (spec >= num_specs())
     throw std::out_of_range("Evaluator::margin: spec index out of range");
-  const Vector values = evaluate_physical(d, s_hat, theta, budget);
+  const Vector values =
+      evaluate_physical(d, s_hat, theta, budget, spec_analysis_[spec]);
   return problem_.specs[spec].margin(values[spec]);
 }
 

@@ -21,6 +21,18 @@
 // the cache, duplicate rows within a block count as cache hits and are
 // simulated once, and every distinct miss is charged to the given budget.
 //
+// Analysis-aware evaluation: a model may split its performances over
+// several analyses (PerformanceModel::analysis_of, e.g. an AC and a
+// transient testbench).  Every cached row carries the mask of analyses it
+// holds.  margin(spec), the per-spec gradients and every caller that reads
+// one spec request only that spec's analysis; performances(), margins()
+// and the batch paths request all of them.  A cached row missing some
+// requested analyses is completed in place: only the missing analyses
+// run, the row keeps its FIFO slot, and the probe counts as a cache hit.
+// EvaluationCounts therefore keep their meaning -- distinct (d, s_hat,
+// theta) points simulated -- whatever the mix of requests.  A model with
+// the default single analysis sees exactly the historical call sequence.
+//
 // Purity contract: a model evaluation must be a pure function of
 // (d, s, theta).  Models may keep reusable state -- per-(d, theta) design
 // contexts with warm-start seeds, the stamp-once AC session of
@@ -28,7 +40,11 @@
 // all of it is either a pure function of the arguments or pure cost
 // (buffers that are fully rewritten before use).  That is what lets the
 // cache, the batch spine and the parallel map return bitwise-identical
-// results regardless of evaluation order, block size or thread count.
+// results regardless of evaluation order, block size or thread count.  It
+// extends to analyses: an analysis's entries may not depend on which other
+// analyses ran before or alongside it (so a model with several analyses
+// also reports a non-converged analysis on its own entries only), which
+// is what makes a completed row equal to a row evaluated in one go.
 #pragma once
 
 #include <cstddef>
@@ -103,7 +119,7 @@ class Evaluator {
                             const linalg::OperatingVec& theta,
                             Budget budget = Budget::kOptimization);
 
-  /// Margin of one specification.
+  /// Margin of one specification.  Runs only the spec's analysis.
   double margin(std::size_t spec, const linalg::DesignVec& d,
                 const linalg::StatUnitVec& s_hat,
                 const linalg::OperatingVec& theta,
@@ -188,17 +204,37 @@ class Evaluator {
   void clear_cache();
 
  private:
+  /// One memoized point: performances in spec order plus the analyses
+  /// they came from (entries of other analyses are zero, never read).
+  struct CachedRow {
+    linalg::Vector values;
+    AnalysisMask analyses = 0;
+  };
+
   linalg::Vector evaluate_physical(const linalg::DesignVec& d,
                                    const linalg::StatUnitVec& s_hat,
                                    const linalg::OperatingVec& theta,
-                                   Budget budget);
+                                   Budget budget, AnalysisMask wanted);
+  /// One model call for `analyses` at physical s; zeroes the entries of
+  /// other analyses and checks the rest are finite.
+  linalg::Vector run_model(const linalg::DesignVec& d,
+                           const linalg::StatPhysVec& s,
+                           const linalg::OperatingVec& theta,
+                           AnalysisMask analyses);
+  /// Runs the analyses in `missing` for a cached row and merges them in.
+  void complete_row(CachedRow& row, const linalg::DesignVec& d,
+                    const linalg::StatUnitVec& s_hat,
+                    const linalg::OperatingVec& theta, AnalysisMask missing);
+  void charge(Budget budget);
   void validate_point(const linalg::DesignVec& d,
                       const linalg::OperatingVec& theta,
                       std::size_t s_hat_size) const;
 
   YieldProblem& problem_;
   EvaluationCounts counts_;
-  ProbeCache cache_;
+  std::vector<AnalysisMask> spec_analysis_;  ///< analysis bit of each spec
+  AnalysisMask all_analyses_ = 0;            ///< union of spec_analysis_
+  BasicProbeCache<CachedRow> cache_;
   ProbeCache constraint_cache_;  ///< keyed by d alone; always unbounded
   ProbeCache::Key scalar_key_;   ///< scratch for the scalar probe path
   // Workspace for the shared finite-difference block in

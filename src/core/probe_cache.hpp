@@ -18,6 +18,10 @@
 // oldest-inserted entry (deterministic FIFO; eviction order is a pure
 // function of the insertion sequence, never of pointer values or time).
 // Capacity 0 (the default) means unlimited, the historical behaviour.
+//
+// The stored value type is a template parameter: the Evaluator keeps a
+// performance row plus the mask of analyses it holds, and completes a
+// row in place (mutable find), so completion never moves its FIFO slot.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +37,8 @@
 
 namespace mayo::core {
 
-class ProbeCache {
+template <class Value>
+class BasicProbeCache {
  public:
   using Key = std::vector<std::uint64_t>;
   using HashFn = std::uint64_t (*)(const std::uint64_t* words,
@@ -53,8 +58,8 @@ class ProbeCache {
 
   /// `counters` receives this cache's hit/miss/eviction events; nullptr
   /// routes to the shared probe-cache group of the global obs registry.
-  explicit ProbeCache(std::size_t capacity = 0, HashFn hash = nullptr,
-                      obs::CacheCounters* counters = nullptr)
+  explicit BasicProbeCache(std::size_t capacity = 0, HashFn hash = nullptr,
+                           obs::CacheCounters* counters = nullptr)
       : capacity_(capacity),
         hash_(hash ? hash : &fnv1a),
         counters_(counters ? counters
@@ -84,7 +89,7 @@ class ProbeCache {
 
   /// Stored value for `key`, or nullptr.  The pointer is invalidated by the
   /// next insert() or clear().
-  const linalg::Vector* find(const Key& key) const {
+  const Value* find(const Key& key) const {
     const auto it = buckets_.find(hash_(key.data(), key.size()));
     if (it != buckets_.end()) {
       for (const auto& [stored, value] : it->second) {
@@ -97,10 +102,15 @@ class ProbeCache {
     counters_->misses.add();
     return nullptr;
   }
+  /// Mutable form: the caller may update the value in place (same key,
+  /// same FIFO position).
+  Value* find(const Key& key) {
+    return const_cast<Value*>(std::as_const(*this).find(key));
+  }
 
   /// Inserts (key, value); evicts the oldest entry when at capacity.  The
   /// caller guarantees the key is not already present (probe-then-insert).
-  void insert(Key key, linalg::Vector value) {
+  void insert(Key key, Value value) {
     if (capacity_ > 0 && size_ >= capacity_) evict_oldest();
     const std::uint64_t h = hash_(key.data(), key.size());
     buckets_[h].emplace_back(std::move(key), std::move(value));
@@ -132,11 +142,13 @@ class ProbeCache {
   std::size_t capacity_;
   HashFn hash_;
   obs::CacheCounters* counters_;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<Key, linalg::Vector>>>
+  std::unordered_map<std::uint64_t, std::vector<std::pair<Key, Value>>>
       buckets_;
   std::deque<std::uint64_t> order_;  ///< insertion order (only if bounded)
   std::size_t size_ = 0;
 };
+
+/// The cache of plain value vectors (constraint values c(d)).
+using ProbeCache = BasicProbeCache<linalg::Vector>;
 
 }  // namespace mayo::core

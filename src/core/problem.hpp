@@ -18,6 +18,7 @@
 // margins, which makes lower and upper bounds uniform.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,6 +91,15 @@ struct ParameterSpace {
   std::size_t index_of(const std::string& name) const;
 };
 
+/// Set of a model's analyses (testbenches), one bit per analysis index.
+using AnalysisMask = std::uint32_t;
+/// Analyses a model may declare (the width of AnalysisMask).
+inline constexpr std::size_t kMaxAnalyses = 32;
+/// Mask holding the single analysis `analysis` (< kMaxAnalyses).
+constexpr AnalysisMask analysis_bit(std::size_t analysis) {
+  return AnalysisMask{1} << analysis;
+}
+
 /// Black-box performance model: all performances from one evaluation.
 ///
 /// `evaluate` receives *physical* statistical parameters s (the core layer
@@ -97,12 +107,25 @@ struct ParameterSpace {
 /// performance values in specification order.  One call is counted as one
 /// "simulation" (performances sharing an analysis come for free, as in the
 /// paper's N* discussion).
+///
+/// A model whose performances come from several independent analyses
+/// (e.g. an AC testbench and a transient testbench) may say so through
+/// analysis_of() and evaluate_analyses(); the Evaluator then runs only the
+/// analyses a request reads.  The defaults describe one analysis that
+/// yields everything, so a model overriding neither behaves as before.
 class PerformanceModel {
  public:
   virtual ~PerformanceModel() = default;
 
   /// Number of performances returned by evaluate().
   virtual std::size_t num_performances() const = 0;
+
+  /// Analysis (testbench) that measures performance `performance`; must
+  /// be < kMaxAnalyses.  The default puts every performance in analysis 0.
+  virtual std::size_t analysis_of(std::size_t performance) const {
+    (void)performance;
+    return 0;
+  }
   /// Number of functional constraints returned by constraints().
   virtual std::size_t num_constraints() const = 0;
   /// Names of the functional constraints (for reports).
@@ -117,6 +140,20 @@ class PerformanceModel {
   virtual linalg::PerfVec evaluate(const linalg::DesignVec& d,
                                    const linalg::StatPhysVec& s,
                                    const linalg::OperatingVec& theta) = 0;
+
+  /// Evaluates only the analyses in `analyses` (a non-empty subset of the
+  /// model's analyses).  Contract: every entry of a performance whose
+  /// analysis is requested is bitwise-identical to the same entry of
+  /// evaluate(d, s, theta); the other entries are unspecified and never
+  /// read.  Skipping an analysis is a cost saving, never a semantic change.
+  /// The default runs the full evaluate().
+  virtual linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
+                                            const linalg::StatPhysVec& s,
+                                            const linalg::OperatingVec& theta,
+                                            AnalysisMask analyses) {
+    (void)analyses;
+    return evaluate(d, s, theta);
+  }
 
   /// Batched evaluation: row j of `s_block` is a physical statistical
   /// vector; performance row j is written into `out` (s_block.rows() x

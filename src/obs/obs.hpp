@@ -161,6 +161,11 @@ struct Counters {
   CacheCounters constraint_cache;  ///< Evaluator's c(d) cache
   CacheCounters design_context;    ///< circuit models' per-(d, theta) cache
 
+  Counter eval_analyses;          ///< model analyses run by the Evaluator
+  Counter eval_analyses_skipped;  ///< analyses a full evaluation of a newly
+                                  ///< simulated point would have run but
+                                  ///< its request did not need
+
   Counter ac_stamps;  ///< AcSession netlist stamp passes
   Counter ac_probes;  ///< AcSession frequency solves
 
@@ -195,6 +200,8 @@ struct Counters {
     probe_cache.reset();
     constraint_cache.reset();
     design_context.reset();
+    eval_analyses.reset();
+    eval_analyses_skipped.reset();
     ac_stamps.reset();
     ac_probes.reset();
     dc_solves.reset();
@@ -270,6 +277,8 @@ class Registry {
     fn("design_context.hits", c.design_context.hits.value());
     fn("design_context.misses", c.design_context.misses.value());
     fn("design_context.evictions", c.design_context.evictions.value());
+    fn("eval.analyses", c.eval_analyses.value());
+    fn("eval.analyses_skipped", c.eval_analyses_skipped.value());
     fn("ac.stamps", c.ac_stamps.value());
     fn("ac.probes", c.ac_probes.value());
     fn("dc.solves", c.dc_solves.value());

@@ -177,6 +177,31 @@ double measure_supply_power(
   return power;
 }
 
+double measure_slew_rate(const std::vector<double>& time,
+                         const std::vector<double>& v) {
+  if (v.size() < 3 || time.size() != v.size()) return 0.0;
+  const double v_start = v.front();
+  const double delta = v.back() - v_start;
+  if (std::abs(delta) < 1e-6) return 0.0;
+  // First crossing of `level` in the direction of the edge, linearly
+  // interpolated between samples; -1 when the waveform never crosses.
+  const auto crossing = [&](double level) {
+    for (std::size_t k = 1; k < v.size(); ++k) {
+      const bool crossed = delta > 0.0 ? (v[k - 1] < level && v[k] >= level)
+                                       : (v[k - 1] > level && v[k] <= level);
+      if (crossed) {
+        const double f = (level - v[k - 1]) / (v[k] - v[k - 1]);
+        return time[k - 1] + f * (time[k] - time[k - 1]);
+      }
+    }
+    return -1.0;
+  };
+  const double t10 = crossing(v_start + 0.1 * delta);
+  const double t90 = crossing(v_start + 0.9 * delta);
+  if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return 0.0;
+  return 0.8 * std::abs(delta) / (t90 - t10);
+}
+
 std::vector<MosOperatingPoint> mos_operating_points(
     const Netlist& netlist, const Vector& operating_point,
     const Conditions& conditions) {

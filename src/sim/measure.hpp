@@ -67,6 +67,15 @@ double measure_supply_power(const circuit::Netlist& netlist,
                             const linalg::Vector& operating_point,
                             const std::vector<const circuit::VoltageSource*>& supplies);
 
+/// 10%-90% slew rate [V/s] of a step response v(time): 80% of the total
+/// swing |v.back() - v.front()| over the time between the first 10% and
+/// the first 90% crossing, each linearly interpolated between samples.
+/// Rising and falling edges alike; 0 when the swing is below 1 uV, a level
+/// is never crossed, the waveform has fewer than three samples, or `time`
+/// and `v` differ in length.
+double measure_slew_rate(const std::vector<double>& time,
+                         const std::vector<double>& v);
+
 /// Per-transistor DC operating info used for functional constraints.
 struct MosOperatingPoint {
   std::string name;

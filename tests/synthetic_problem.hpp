@@ -16,11 +16,17 @@
 //
 //   Constraints: c0 = d0 - d1 (>= 0), c1 = 6 - d0 - d1 (>= 0).
 //
+// SyntheticModel computes both performances in one analysis (the
+// PerformanceModel default); SplitSyntheticModel computes the same values
+// in two analyses, f0 in analysis 0 and f1 in analysis 1, and counts the
+// runs of each -- the fixture of the Evaluator's analysis-aware path.
+//
 // Statistical parameters are standard normal (sigma 1, no correlation), so
 // s_hat == s and the covariance transform is the identity; design bounds
 // are [-5, 5]^2, theta in [-1, 1] with nominal 0.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -38,14 +44,26 @@ class SyntheticModel final : public core::PerformanceModel {
                            const linalg::OperatingVec& theta) override {
     ++evaluations;
     linalg::PerfVec f(2);
-    f[0] = d[0] + d[1] - s[0] - 2.0 * s[1] - theta[0];
-    const double u = s[1] - s[2];
-    f[1] = d[0] + 4.0 - u * u;
+    f[0] = linear(d, s, theta);
+    f[1] = quadratic(d, s);
     return f;
   }
 
   linalg::Vector constraints(const linalg::DesignVec& d) override {
     ++constraint_evaluations;
+    return constraint_values(d);
+  }
+
+  static double linear(const linalg::DesignVec& d, const linalg::StatPhysVec& s,
+                       const linalg::OperatingVec& theta) {
+    return d[0] + d[1] - s[0] - 2.0 * s[1] - theta[0];
+  }
+  static double quadratic(const linalg::DesignVec& d,
+                          const linalg::StatPhysVec& s) {
+    const double u = s[1] - s[2];
+    return d[0] + 4.0 - u * u;
+  }
+  static linalg::Vector constraint_values(const linalg::DesignVec& d) {
     linalg::Vector c(2);
     c[0] = d[0] - d[1];
     c[1] = 6.0 - d[0] - d[1];
@@ -58,6 +76,46 @@ class SyntheticModel final : public core::PerformanceModel {
 
   int evaluations = 0;
   int constraint_evaluations = 0;
+};
+
+class SplitSyntheticModel final : public core::PerformanceModel {
+ public:
+  std::size_t num_performances() const override { return 2; }
+  std::size_t num_constraints() const override { return 2; }
+  std::size_t analysis_of(std::size_t performance) const override {
+    return performance;
+  }
+
+  linalg::PerfVec evaluate(const linalg::DesignVec& d,
+                           const linalg::StatPhysVec& s,
+                           const linalg::OperatingVec& theta) override {
+    return evaluate_analyses(d, s, theta, 0b11);
+  }
+  linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
+                                    const linalg::StatPhysVec& s,
+                                    const linalg::OperatingVec& theta,
+                                    core::AnalysisMask analyses) override {
+    linalg::PerfVec f(2);
+    if ((analyses & 0b01) != 0) {
+      ++runs[0];
+      f[0] = SyntheticModel::linear(d, s, theta);
+    }
+    if ((analyses & 0b10) != 0) {
+      ++runs[1];
+      f[1] = SyntheticModel::quadratic(d, s);
+    }
+    return f;
+  }
+
+  linalg::Vector constraints(const linalg::DesignVec& d) override {
+    return SyntheticModel::constraint_values(d);
+  }
+
+  std::unique_ptr<core::PerformanceModel> clone() const override {
+    return std::make_unique<SplitSyntheticModel>();
+  }
+
+  std::array<int, 2> runs{};  ///< runs of analysis 0 and analysis 1
 };
 
 inline core::YieldProblem make_synthetic_problem(double d0 = 2.0,
@@ -79,6 +137,14 @@ inline core::YieldProblem make_synthetic_problem(double d0 = 2.0,
   for (const char* name : {"s0", "s1", "s2"})
     problem.statistical.add(stats::StatParam::global(name, 0.0, 1.0));
   problem.validate();
+  return problem;
+}
+
+/// The synthetic problem on the two-analysis model.
+inline core::YieldProblem make_split_synthetic_problem(double d0 = 2.0,
+                                                       double d1 = 1.0) {
+  core::YieldProblem problem = make_synthetic_problem(d0, d1);
+  problem.model = std::make_shared<SplitSyntheticModel>();
   return problem;
 }
 

@@ -38,7 +38,8 @@ TEST_F(FoldedCascodeTest, ProblemIsConsistent) {
 
 TEST_F(FoldedCascodeTest, NominalMeasurementsAreHealthy) {
   const auto m = model->measure(d0, s0, theta0);
-  ASSERT_TRUE(m.valid);
+  ASSERT_TRUE(m.ac_valid);
+  ASSERT_TRUE(m.sr_valid);
   EXPECT_GT(m.a0_db, 70.0);
   EXPECT_LT(m.a0_db, 95.0);
   EXPECT_GT(m.ft_mhz, 30.0);

@@ -37,7 +37,8 @@ TEST_F(MillerTest, ProblemIsConsistent) {
 
 TEST_F(MillerTest, NominalMeasurementsAreHealthy) {
   const auto m = model->measure(d0, s0, theta0);
-  ASSERT_TRUE(m.valid);
+  ASSERT_TRUE(m.ac_valid);
+  ASSERT_TRUE(m.sr_valid);
   EXPECT_GT(m.a0_db, 85.0);   // two-stage gain
   EXPECT_LT(m.a0_db, 110.0);
   EXPECT_GT(m.ft_mhz, 1.5);
@@ -89,7 +90,8 @@ TEST_F(MillerTest, GlobalVthShiftMovesPerformances) {
   s_shift[Stats::kDvthnGlobal] = 0.06;  // 2 sigma
   const auto shifted = model->measure(d0, s_shift, theta0);
   const auto base = model->measure(d0, s0, theta0);
-  ASSERT_TRUE(shifted.valid);
+  ASSERT_TRUE(shifted.ac_valid);
+  ASSERT_TRUE(shifted.sr_valid);
   EXPECT_NE(shifted.sr_v_per_us, base.sr_v_per_us);
   EXPECT_NE(shifted.power_mw, base.power_mw);
 }

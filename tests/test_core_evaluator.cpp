@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "obs/obs.hpp"
 #include "synthetic_problem.hpp"
 
 namespace mayo::core {
@@ -14,6 +16,7 @@ using linalg::MarginVec;
 using linalg::OperatingVec;
 using linalg::StatUnitVec;
 using linalg::Vector;
+using testing::SplitSyntheticModel;
 using testing::SyntheticModel;
 
 TEST(Evaluator, MarginsMatchModel) {
@@ -179,6 +182,221 @@ TEST(Evaluator, DesignDependentSigmaEntersGradientD) {
       0, DesignVec(problem.design.nominal), s_hat, OperatingVec{0.0});
   EXPECT_NEAR(g[0], 0.0, 1e-6);
   EXPECT_NEAR(g[1], 1.0, 1e-6);
+}
+
+// -- analysis-aware evaluation ----------------------------------------------
+//
+// SplitSyntheticModel computes the synthetic performances in two analyses
+// (spec 0 in analysis 0, spec 1 in analysis 1) and counts the runs of each.
+
+/// Point k of a small fixed set of s_hat probes.
+StatUnitVec probe_point(double k) { return StatUnitVec{0.1 * k, -0.2 * k, 0.3}; }
+
+/// Reads the Evaluator's analysis counters (0 under MAYO_OBS=OFF).
+struct AnalysisTally {
+  std::uint64_t run = obs::registry().counters.eval_analyses.value();
+  std::uint64_t skipped =
+      obs::registry().counters.eval_analyses_skipped.value();
+};
+
+TEST(EvaluatorAnalyses, MarginRunsOnlyTheSpecsAnalysis) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  EXPECT_NEAR(ev.margin(0, d, ev.nominal_s_hat(), theta), 3.0, 1e-12);
+  EXPECT_EQ(model->runs[0], 1);
+  EXPECT_EQ(model->runs[1], 0);
+  EXPECT_EQ(ev.counts().optimization, 1u);
+  EXPECT_EQ(ev.counts().cache_hits, 0u);
+
+  // The spec-1 gradient completes the base row and probes 3 new points,
+  // all with analysis 1 only.
+  ev.margin_gradient_s(1, d, ev.nominal_s_hat(), theta);
+  EXPECT_EQ(model->runs[0], 1);
+  EXPECT_EQ(model->runs[1], 4);
+  EXPECT_EQ(ev.counts().optimization, 4u);
+  EXPECT_EQ(ev.counts().cache_hits, 1u);
+}
+
+TEST(EvaluatorAnalyses, LaterSpecCompletesTheRowAsACacheHit) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  const StatUnitVec s = probe_point(1.0);
+  auto reference_problem = testing::make_synthetic_problem();
+  Evaluator reference(reference_problem);
+  const MarginVec expected = reference.margins(d, s, theta);
+  const AnalysisTally before;
+
+  // Both margins equal the single-analysis model's, bit for bit.
+  const double m0 = ev.margin(0, d, s, theta);
+  const double m1 = ev.margin(1, d, s, theta);
+  EXPECT_EQ(m0, expected[0]);
+  EXPECT_EQ(m1, expected[1]);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{1, 1}));
+  EXPECT_EQ(ev.counts().optimization, 1u);  // one distinct point
+  EXPECT_EQ(ev.counts().cache_hits, 1u);    // the completion
+
+  // The row is complete now: nothing runs again.
+  EXPECT_EQ(ev.margin(0, d, s, theta), m0);
+  EXPECT_EQ(ev.margins(d, s, theta), expected);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{1, 1}));
+  EXPECT_EQ(ev.counts().cache_hits, 3u);
+
+#if MAYO_OBS_ENABLED
+  const AnalysisTally after;
+  EXPECT_EQ(after.run - before.run, 2u);          // one run per analysis
+  EXPECT_EQ(after.skipped - before.skipped, 1u);  // analysis 1 at first
+#endif
+}
+
+TEST(EvaluatorAnalyses, FullRequestsCompletePartialRows) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  auto reference_problem = testing::make_synthetic_problem();
+  Evaluator reference(reference_problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.5};
+
+  ev.margin(1, d, probe_point(0.0), theta);
+  EXPECT_EQ(ev.performances(d, probe_point(0.0), theta),
+            reference.performances(d, probe_point(0.0), theta));
+  ev.margin(0, d, probe_point(1.0), theta);
+  EXPECT_EQ(ev.margins(d, probe_point(1.0), theta),
+            reference.margins(d, probe_point(1.0), theta));
+  EXPECT_EQ(model->runs, (std::array<int, 2>{2, 2}));
+  EXPECT_EQ(ev.counts().optimization, 2u);
+  EXPECT_EQ(ev.counts().cache_hits, 2u);
+
+  // Batch rows: a partial row, a complete row and a new point.
+  ev.margin(0, d, probe_point(2.0), theta);
+  linalg::Matrixd block(3, 3);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const StatUnitVec s = probe_point(r == 0 ? 2.0 : r == 1 ? 0.0 : 3.0);
+    for (std::size_t c = 0; c < 3; ++c) block(r, c) = s[c];
+  }
+  linalg::Matrixd out(3, 2);
+  EvalWorkspace ws;
+  ev.margins_batch(d, linalg::StatUnitBlock(linalg::ConstMatrixView(block)),
+                   theta, linalg::MarginBlockView(linalg::MatrixView(out)), ws);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const MarginVec expected = reference.margins(
+        d, probe_point(r == 0 ? 2.0 : r == 1 ? 0.0 : 3.0), theta);
+    for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(out(r, i), expected[i]);
+  }
+  // Row 0 ran analysis 1 to complete, row 2 ran both.
+  EXPECT_EQ(model->runs, (std::array<int, 2>{4, 4}));
+  EXPECT_EQ(ev.counts().optimization, 4u);
+  EXPECT_EQ(ev.counts().cache_hits, 4u);
+}
+
+TEST(EvaluatorAnalyses, BoundedCacheEvictsPartialRowsInInsertionOrder) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  CacheOptions options;
+  options.capacity = 2;
+  Evaluator ev(problem, options);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+
+  ev.margin(0, d, probe_point(1.0), theta);  // inserts p1
+  ev.margin(1, d, probe_point(2.0), theta);  // inserts p2
+  ev.margin(1, d, probe_point(1.0), theta);  // completes p1 in place
+  EXPECT_EQ(ev.cache_size(), 2u);
+  EXPECT_EQ(ev.counts().optimization, 2u);
+  EXPECT_EQ(ev.counts().cache_hits, 1u);
+
+  // p1 was touched last but inserted first: the completion kept its FIFO
+  // slot, so p3 evicts p1.
+  ev.margin(0, d, probe_point(3.0), theta);
+  EXPECT_EQ(ev.cache_size(), 2u);
+  ev.margin(1, d, probe_point(2.0), theta);  // p2 still cached
+  EXPECT_EQ(ev.counts().optimization, 3u);
+  EXPECT_EQ(ev.counts().cache_hits, 2u);
+  ev.margin(0, d, probe_point(1.0), theta);  // p1 is gone: simulated again
+  EXPECT_EQ(ev.counts().optimization, 4u);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{3, 2}));
+}
+
+/// A fixed request mix: scalar margins of both specs, per-spec s-gradients
+/// at a shared point, a spec-1 d-gradient, full margins and a batch.
+EvaluationCounts run_request_mix(Evaluator& ev, const DesignVec& d) {
+  const OperatingVec theta{1.0};
+  const StatUnitVec s = probe_point(1.0);
+  ev.margin(0, d, s, theta);
+  ev.margin(1, d, s, theta);
+  ev.margin_gradient_s(0, d, s, theta);
+  ev.margin_gradient_s(1, d, s, theta);
+  ev.margin_gradient_d(1, d, s, theta);
+  ev.margins(d, probe_point(2.0), theta);
+  ev.margin(1, d, probe_point(2.0), theta);
+  linalg::Matrixd block(2, 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    block(0, c) = s[c];
+    block(1, c) = probe_point(4.0)[c];
+  }
+  linalg::Matrixd out(2, 2);
+  EvalWorkspace ws;
+  ev.margins_batch(d, linalg::StatUnitBlock(linalg::ConstMatrixView(block)),
+                   theta, linalg::MarginBlockView(linalg::MatrixView(out)), ws);
+  return ev.counts();
+}
+
+TEST(EvaluatorAnalyses, DefaultSingleAnalysisModelKeepsHistoricalCounts) {
+  // The default analysis_of puts everything in one analysis: every request
+  // is a full request, and the counts are those of the plain cache.
+  auto problem = testing::make_synthetic_problem();
+  auto* model = dynamic_cast<SyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  const AnalysisTally before;
+  const EvaluationCounts counts =
+      run_request_mix(ev, DesignVec(problem.design.nominal));
+  // Distinct points: base, 3 s-probes, 2 d-probes, probe 2, probe 4.
+  EXPECT_EQ(counts.optimization, 8u);
+  EXPECT_EQ(counts.cache_hits, 1u + 1u + 4u + 1u + 1u + 1u);
+  EXPECT_EQ(model->evaluations, 8);
+#if MAYO_OBS_ENABLED
+  const AnalysisTally after;
+  EXPECT_EQ(after.run - before.run, 8u);
+  EXPECT_EQ(after.skipped - before.skipped, 0u);
+#endif
+
+  // The two-analysis model spends fewer analysis runs on the same mix but
+  // reports exactly the same counts: a count is a distinct point.
+  auto split_problem = testing::make_split_synthetic_problem();
+  auto* split = dynamic_cast<SplitSyntheticModel*>(split_problem.model.get());
+  Evaluator split_ev(split_problem);
+  const EvaluationCounts split_counts =
+      run_request_mix(split_ev, DesignVec(split_problem.design.nominal));
+  EXPECT_EQ(split_counts.optimization, counts.optimization);
+  EXPECT_EQ(split_counts.verification, counts.verification);
+  EXPECT_EQ(split_counts.constraint, counts.constraint);
+  EXPECT_EQ(split_counts.cache_hits, counts.cache_hits);
+  EXPECT_LT(split->runs[0] + split->runs[1], 2 * model->evaluations);
+}
+
+TEST(EvaluatorAnalyses, RejectsAnAnalysisIndexBeyondTheMask) {
+  class TooManyAnalyses final : public PerformanceModel {
+   public:
+    std::size_t num_performances() const override { return 2; }
+    std::size_t num_constraints() const override { return 0; }
+    std::size_t analysis_of(std::size_t performance) const override {
+      return performance == 0 ? 0 : kMaxAnalyses;
+    }
+    linalg::PerfVec evaluate(const DesignVec&, const linalg::StatPhysVec&,
+                             const OperatingVec&) override {
+      return linalg::PerfVec(2);
+    }
+    Vector constraints(const DesignVec&) override { return Vector(); }
+  };
+  auto problem = testing::make_synthetic_problem();
+  problem.model = std::make_shared<TooManyAnalyses>();
+  EXPECT_THROW(Evaluator ev(problem), std::invalid_argument);
 }
 
 }  // namespace

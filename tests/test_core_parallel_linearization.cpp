@@ -122,6 +122,43 @@ TEST(ParallelLinearization, WorkerEvaluationsChargedToOptimizer) {
   EXPECT_EQ(ev.counts().verification, 0u);
 }
 
+TEST(ParallelLinearization, AnalysisSplitKeepsModelsAndCounts) {
+  // The two-analysis model runs only each spec's analysis in the searches.
+  // Serial and 2-thread runs must still give the single-analysis models bit
+  // for bit and charge exactly the single-analysis evaluation counts: a
+  // count is a distinct point, however many of its analyses ran.
+  const LinearizedModels serial = run_serial();
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    ParallelLinearizationOptions opts;
+    opts.threads = threads;
+    auto single_problem = testing::make_synthetic_problem(2.0, 1.0);
+    Evaluator single_ev(single_problem);
+    const LinearizedModels single = parallel_build_linearizations(
+        single_ev, DesignVec(single_problem.design.nominal), opts);
+    auto split_problem = testing::make_split_synthetic_problem(2.0, 1.0);
+    Evaluator split_ev(split_problem);
+    const LinearizedModels split = parallel_build_linearizations(
+        split_ev, DesignVec(split_problem.design.nominal), opts);
+
+    expect_identical(serial, single);
+    expect_identical(serial, split);
+    EXPECT_EQ(split_ev.counts().optimization, single_ev.counts().optimization);
+    EXPECT_EQ(split_ev.counts().verification, single_ev.counts().verification);
+    EXPECT_EQ(split_ev.counts().constraint, single_ev.counts().constraint);
+    if (threads == 1) {
+      // Serial: the caller's evaluator also did the searches, so its cache
+      // hits match too, and the model ran fewer analyses than two per point.
+      EXPECT_EQ(split_ev.counts().cache_hits, single_ev.counts().cache_hits);
+      const auto& runs =
+          dynamic_cast<testing::SplitSyntheticModel&>(*split_problem.model)
+              .runs;
+      EXPECT_LT(static_cast<std::size_t>(runs[0] + runs[1]),
+                2 * split_ev.counts().optimization);
+    }
+  }
+}
+
 TEST(ParallelLinearization, OptimizerRouteMatchesSerial) {
   // The full Fig. 6 loop with parallel linearizations reproduces the
   // serial trace bit for bit (same designs, same yields).

@@ -18,7 +18,7 @@
 namespace mayo::core {
 namespace {
 
-/// A fully hand-built report: two phases, two counters, fixed values.
+/// A fully hand-built report: two phases, four counters, fixed values.
 RunReport golden_report() {
   RunReport report;
   report.label = "golden \"run\"";
@@ -26,6 +26,8 @@ RunReport golden_report() {
   report.phases.push_back({"feasibility", 0.25, 4});
   report.phases.push_back({"verification", 1.5, 1});
   report.counters.push_back({"probe_cache.hits", 12});
+  report.counters.push_back({"eval.analyses", 15});
+  report.counters.push_back({"eval.analyses_skipped", 5});
   report.counters.push_back({"mc.samples", 300});
   report.evaluations = {10, 300, 7, 2};
   report.optimizer.present = true;
@@ -48,6 +50,8 @@ constexpr const char* kGoldenJson =
     "  },\n"
     "  \"counters\": {\n"
     "    \"probe_cache.hits\": 12,\n"
+    "    \"eval.analyses\": 15,\n"
+    "    \"eval.analyses_skipped\": 5,\n"
     "    \"mc.samples\": 300\n"
     "  },\n"
     "  \"evaluations\": {\"optimization\": 10, \"verification\": 300, "
@@ -83,7 +87,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 31u);
+  ASSERT_EQ(report.counters.size(), 33u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");
@@ -95,7 +99,8 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
        {"\"schema\": \"mayo.run_report/1\"", "\"feasibility\"",
         "\"linearization\"", "\"worst_case_search\"", "\"coordinate_search\"",
         "\"line_search\"", "\"verification\"", "\"is_verification\"",
-        "\"probe_cache.hits\"", "\"dc.newton_iterations\"",
+        "\"probe_cache.hits\"", "\"eval.analyses\"",
+        "\"eval.analyses_skipped\"", "\"dc.newton_iterations\"",
         "\"tran.seed_resets\"", "\"mc.samples\"", "\"mc.is.samples\"",
         "\"mc.is.ess_fallbacks\"", "\"audit.runs\"", "\"audit.rejects\"",
         "\"evaluations\"", "\"optimizer\": null"})

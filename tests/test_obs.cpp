@@ -28,11 +28,15 @@ TEST(ObsRegistry, EnumeratesTheFixedCounterSchema) {
   std::vector<std::string> names;
   registry().each_counter(
       [&](const char* name, std::uint64_t) { names.emplace_back(name); });
-  EXPECT_EQ(names.size(), 31u);
+  EXPECT_EQ(names.size(), 33u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
             names.size());
   EXPECT_EQ(names.front(), "probe_cache.hits");
   EXPECT_EQ(names.back(), "audit.rejects");
+  // The Evaluator's analysis accounting follows the three cache groups.
+  ASSERT_GT(names.size(), 10u);
+  EXPECT_EQ(names[9], "eval.analyses");
+  EXPECT_EQ(names[10], "eval.analyses_skipped");
 
   std::vector<std::string> phase_names;
   registry().each_phase([&](const char* name, const PhaseTimer&) {

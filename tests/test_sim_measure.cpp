@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "sim/dc.hpp"
 
@@ -29,6 +31,49 @@ TEST(Measure, DbAndPhaseHelpers) {
   EXPECT_NEAR(to_db({0.1, 0.0}), -20.0, 1e-12);
   EXPECT_NEAR(phase_deg({0.0, 1.0}), 90.0, 1e-12);
   EXPECT_NEAR(phase_deg({-1.0, 0.0}), 180.0, 1e-12);
+}
+
+/// Samples of a ramp step from v0 to v1: flat until t = 1, linear to t = 3,
+/// flat until t = 5, sampled every 0.1.
+void ramp_step(double v0, double v1, std::vector<double>& time,
+               std::vector<double>& v) {
+  for (int k = 0; k <= 50; ++k) {
+    const double t = 0.1 * k;
+    const double x = std::clamp((t - 1.0) / 2.0, 0.0, 1.0);
+    time.push_back(t);
+    v.push_back(v0 + (v1 - v0) * x);
+  }
+}
+
+TEST(Measure, SlewRateOfRisingAndFallingRamps) {
+  // 10% and 90% of a 2 V swing are crossed 1.6 time units apart on the
+  // 1 V/unit ramp: 0.8 * 2 / 1.6 = 1 V/unit, whatever the direction.
+  std::vector<double> time, rise, fall_time, fall;
+  ramp_step(1.0, 3.0, time, rise);
+  ramp_step(3.0, 1.0, fall_time, fall);
+  EXPECT_NEAR(measure_slew_rate(time, rise), 1.0, 1e-12);
+  EXPECT_NEAR(measure_slew_rate(fall_time, fall), 1.0, 1e-12);
+}
+
+TEST(Measure, SlewRateInterpolatesBetweenSamples) {
+  // The 10% and 90% levels of a 0 -> 1 step fall between samples; linear
+  // interpolation places them at t = 0.1 and t = 0.9 exactly.
+  const std::vector<double> time = {0.0, 1.0, 2.0};
+  const std::vector<double> v = {0.0, 1.0, 1.0};
+  EXPECT_NEAR(measure_slew_rate(time, v), 0.8 / 0.8, 1e-12);
+}
+
+TEST(Measure, SlewRateIsZeroWithoutAUsableEdge) {
+  std::vector<double> time, v;
+  ramp_step(2.0, 2.0 + 5e-7, time, v);  // swing below 1 uV
+  EXPECT_EQ(measure_slew_rate(time, v), 0.0);
+  std::vector<double> flat_time, flat;
+  ramp_step(1.5, 1.5, flat_time, flat);
+  EXPECT_EQ(measure_slew_rate(flat_time, flat), 0.0);
+  // Two samples carry no crossing to interpolate between.
+  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 1.0}), 0.0);
+  // Time and voltage of different lengths.
+  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 0.5, 1.0}), 0.0);
 }
 
 /// Ideal single-pole amplifier: VCVS gain A, then R-C pole.

@@ -132,8 +132,8 @@ TEST(SparseBackend, FoldedCascodeMeasureMatchesDense) {
       circuits::FoldedCascode::make_problem().operating.nominal);
   const auto md = dense_model.measure(d, s, theta);
   const auto ms = sparse_model.measure(d, s, theta);
-  ASSERT_TRUE(md.valid);
-  ASSERT_TRUE(ms.valid);
+  ASSERT_TRUE(md.ac_valid && md.sr_valid);
+  ASSERT_TRUE(ms.ac_valid && ms.sr_valid);
   EXPECT_NEAR(ms.a0_db, md.a0_db, 1e-6);
   EXPECT_NEAR(ms.cmrr_db, md.cmrr_db, 1e-5);
   EXPECT_NEAR(ms.power_mw, md.power_mw, 1e-9 * std::abs(md.power_mw));

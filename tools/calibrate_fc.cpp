@@ -19,8 +19,8 @@ int main() {
   linalg::Vector s(St::kCount);
 
   auto m = fc->measure(d, s, theta);
-  std::printf("nominal: valid=%d A0=%.2f dB ft=%.2f MHz CMRR=%.2f dB SR=%.2f V/us P=%.3f mW\n",
-              m.valid, m.a0_db, m.ft_mhz, m.cmrr_db, m.sr_v_per_us, m.power_mw);
+  std::printf("nominal: valid=%d/%d A0=%.2f dB ft=%.2f MHz CMRR=%.2f dB SR=%.2f V/us P=%.3f mW\n",
+              m.ac_valid, m.sr_valid, m.a0_db, m.ft_mhz, m.cmrr_db, m.sr_v_per_us, m.power_mw);
   for (double t : {273.15, 358.15})
     for (double v : {4.75, 5.25}) {
       linalg::Vector th{t, v};

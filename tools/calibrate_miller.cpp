@@ -12,13 +12,14 @@ int main() {
   linalg::Vector d = M::initial_design();
   linalg::Vector s(circuits::MillerStats::kCount);
   auto m0 = mm->measure(d, s, problem.operating.nominal);
-  std::printf("nominal: valid=%d A0=%.2f ft=%.3f PM=%.2f SR=%.3f P=%.4f\n",
-              m0.valid, m0.a0_db, m0.ft_mhz, m0.pm_deg, m0.sr_v_per_us, m0.power_mw);
+  std::printf("nominal: valid=%d/%d A0=%.2f ft=%.3f PM=%.2f SR=%.3f P=%.4f\n",
+              m0.ac_valid, m0.sr_valid, m0.a0_db, m0.ft_mhz, m0.pm_deg, m0.sr_v_per_us, m0.power_mw);
   for (double t : {273.15, 358.15}) for (double v : {4.75, 5.25}) {
     linalg::Vector th{t, v};
     auto c = mm->measure(d, s, th);
-    std::printf("T=%3.0fC V=%.2f: A0=%.2f ft=%.3f PM=%.2f SR=%.3f P=%.4f (valid %d)\n",
-                t-273.15, v, c.a0_db, c.ft_mhz, c.pm_deg, c.sr_v_per_us, c.power_mw, c.valid);
+    std::printf("T=%3.0fC V=%.2f: A0=%.2f ft=%.3f PM=%.2f SR=%.3f P=%.4f (valid %d/%d)\n",
+                t-273.15, v, c.a0_db, c.ft_mhz, c.pm_deg, c.sr_v_per_us, c.power_mw,
+                c.ac_valid, c.sr_valid);
   }
   auto cons = mm->constraints(linalg::DesignVec(d));
   std::printf("sat margins:");
