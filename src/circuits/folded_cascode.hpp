@@ -2,15 +2,10 @@
 //
 // NMOS input pair folded into a PMOS cascode with an NMOS cascode current
 // mirror as load; biased from a single reference current through mirror
-// diodes; cascode gates from supply-referenced voltage sources.  Two
-// testbench netlists share the sizing:
-//   * an open-loop AC bench with a DC-only feedback path (1 GOhm / 1 F:
-//     closes the loop at DC so the operating point is biased, transparent
-//     to every AC frequency of interest) measuring A0, f_t, CMRR, power;
-//   * a unity-gain transient bench measuring the positive slew rate.
-// The two benches are the model's two analyses (analysis_of): a request
-// for A0, ft, CMRR or power never runs the transient, a request for the
-// slew rate never runs the AC bench.
+// diodes; cascode gates from supply-referenced voltage sources.  Measured
+// by the shared opamp testbench pair (circuits/opamp.hpp): the open-loop
+// AC bench for A0, f_t, CMRR and power, the unity-gain transient bench
+// for the slew rate.
 //
 // Performances (in spec order): A0 [dB], f_t [MHz], CMRR [dB],
 // SR+ [V/us], Power [mW].
@@ -25,17 +20,14 @@
 // the eleven signal-path transistors.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "circuits/opamp.hpp"
 #include "circuits/process.hpp"
 #include "core/problem.hpp"
 #include "linalg/system_matrix.hpp"
-#include "sim/ac.hpp"
-#include "sim/solver.hpp"
 
 namespace mayo::circuits {
 
@@ -65,7 +57,7 @@ struct FoldedCascodeStats {
   };
 };
 
-class FoldedCascode final : public core::PerformanceModel {
+class FoldedCascode final : public OpampModel {
  public:
   struct Options {
     Process process = default_process();
@@ -86,56 +78,8 @@ class FoldedCascode final : public core::PerformanceModel {
 
   FoldedCascode();  ///< default options
   explicit FoldedCascode(Options options);
-  ~FoldedCascode() override;
 
-  /// The model's analyses: the open-loop AC bench (A0, ft, CMRR, power)
-  /// and the unity-gain transient bench (SR+).
-  enum Analysis : std::size_t { kAcAnalysis = 0, kSlewAnalysis = 1 };
-  static constexpr core::AnalysisMask kAllAnalyses =
-      core::analysis_bit(kAcAnalysis) | core::analysis_bit(kSlewAnalysis);
-
-  // -- PerformanceModel ----------------------------------------------------
-  std::size_t num_performances() const override { return 5; }
-  std::size_t analysis_of(std::size_t performance) const override;
-  std::size_t num_constraints() const override { return 11; }
-  std::vector<std::string> constraint_names() const override;
   std::unique_ptr<core::PerformanceModel> clone() const override;
-  linalg::PerfVec evaluate(const linalg::DesignVec& d,
-                           const linalg::StatPhysVec& s,
-                           const linalg::OperatingVec& theta) override;
-  /// Runs only the requested benches; each bench's entries are bitwise
-  /// those of evaluate(), and a bench that fails to converge penalizes
-  /// only its own performances.
-  linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
-                                    const linalg::StatPhysVec& s,
-                                    const linalg::OperatingVec& theta,
-                                    core::AnalysisMask analyses) override;
-  /// Native batch path: the per-(d, theta) nominal solves (bias point, ft
-  /// bracket, slew trajectory) are built once and every sample row reuses
-  /// them as warm starts.  Row results are bitwise-identical to evaluate()
-  /// because both run the same per-sample code against the same context.
-  void evaluate_batch(const linalg::DesignVec& d, linalg::StatPhysBlock s_block,
-                      const linalg::OperatingVec& theta,
-                      linalg::PerfBlockView out) override;
-  linalg::Vector constraints(const linalg::DesignVec& d) override;
-
-  /// Detailed measurement access for sweeps and figures.  Deliberately
-  /// untyped (raw vectors): callers sweep arbitrary ad-hoc points.
-  struct Measurements {
-    double a0_db = 0.0;
-    double ft_mhz = 0.0;
-    double cmrr_db = 0.0;
-    double sr_v_per_us = 0.0;
-    double power_mw = 0.0;
-    bool ac_valid = false;  ///< AC bench converged (A0, ft, CMRR, power)
-    bool sr_valid = false;  ///< transient bench converged (SR+)
-  };
-  Measurements measure(const linalg::Vector& d, const linalg::Vector& s,
-                       const linalg::Vector& theta);
-
-  /// Saturation margins (vds - vdsat - margin_min) of the 11 transistors at
-  /// nominal statistics and operating conditions.
-  linalg::Vector saturation_margins(const linalg::Vector& d);
 
   /// Performance names in spec order.
   static std::vector<std::string> performance_names();
@@ -156,58 +100,14 @@ class FoldedCascode final : public core::PerformanceModel {
   static linalg::Vector initial_design();
 
  private:
-  struct Bench;          // one netlist + device handles
-  struct DesignContext;  // per-(d, theta) nominal solves shared by samples
+  struct Bench;  // the shared handles plus the bias diodes and Iref
 
   static std::unique_ptr<Bench> build_bench(const Options& options, bool unity);
-  void apply(Bench& bench, const linalg::Vector& d, const linalg::Vector& s,
-             const linalg::Vector& theta) const;
-  /// Context for (d, theta), created empty on first use (FIFO-bounded
-  /// cache).  Sections are filled lazily by the ensure_* helpers; all
-  /// content is a pure function of (d, theta), so eviction can never
-  /// change a result, only its cost.
-  DesignContext& design_context(const linalg::Vector& d,
-                                const linalg::Vector& theta);
-  void ensure_ac_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_ft_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  /// Context for (d, theta) with the sections the requested analyses
-  /// seed from.
-  DesignContext& prepared_context(const linalg::Vector& d,
-                                  const linalg::Vector& theta,
-                                  core::AnalysisMask analyses);
-  /// Per-sample measurement halves: the AC bench and the slew bench, each
-  /// reading only its own context section.
-  void measure_ac(DesignContext& ctx, const linalg::Vector& d,
-                  const linalg::Vector& s, const linalg::Vector& theta,
-                  Measurements& out);
-  void measure_sr(DesignContext& ctx, const linalg::Vector& d,
-                  const linalg::Vector& s, const linalg::Vector& theta,
-                  Measurements& out);
-  /// Runs the requested halves into `out`.
-  void measure_with_context(DesignContext& ctx, const linalg::Vector& d,
-                            const linalg::Vector& s,
-                            const linalg::Vector& theta,
-                            core::AnalysisMask analyses, Measurements& out);
+  void apply(OpampModel::Bench& bench, const linalg::Vector& d,
+             const linalg::Vector& s,
+             const linalg::Vector& theta) const override;
 
   Options options_;
-  std::unique_ptr<Bench> ac_bench_;   ///< open-loop AC testbench
-  std::unique_ptr<Bench> sr_bench_;   ///< unity-gain transient testbench
-  std::vector<std::unique_ptr<DesignContext>> contexts_;  ///< FIFO cache
-  std::vector<std::uint64_t> context_key_;  ///< key-building scratch
-  linalg::Vector batch_s_;                  ///< row scratch for batches
-  /// Reusable small-signal workspace.  Every use fully re-stamps it, so it
-  /// carries cost (buffers, factors) but never results between calls.
-  sim::AcSession ac_session_;
-  /// Newton linear-system workspaces, one per bench (the benches differ
-  /// in size; sharing one would thrash the sparse pattern and symbolic
-  /// analysis on every alternation).  Like the session, they carry only
-  /// cost between calls; clone() gives each parallel worker fresh ones.
-  sim::LinearSystem newton_ac_;
-  sim::LinearSystem newton_sr_;
 };
 
 }  // namespace mayo::circuits

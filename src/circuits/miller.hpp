@@ -2,10 +2,9 @@
 //
 // NMOS input pair with PMOS mirror load, PMOS common-source second stage
 // with NMOS current sink, RC (Miller + nulling resistor) compensation.
-// Same testbench pattern as the folded cascode: an open-loop AC bench
-// (DC-feedback biased) for A0, f_t, phase margin and power, and a
-// unity-gain transient bench for the slew rate.  The two benches are the
-// model's two analyses (analysis_of), run only when a request reads them.
+// Measured by the shared opamp testbench pair (circuits/opamp.hpp): the
+// open-loop AC bench for A0, f_t, phase margin and power, the unity-gain
+// transient bench for the slew rate.
 //
 // Performances (spec order): A0 [dB], f_t [MHz], PM [deg], SR+ [V/us],
 // Power [mW].
@@ -15,17 +14,14 @@
 // constant-C code path of the optimizer.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "circuits/opamp.hpp"
 #include "circuits/process.hpp"
 #include "core/problem.hpp"
 #include "linalg/system_matrix.hpp"
-#include "sim/ac.hpp"
-#include "sim/solver.hpp"
 
 namespace mayo::circuits {
 
@@ -54,7 +50,7 @@ struct MillerStats {
   };
 };
 
-class Miller final : public core::PerformanceModel {
+class Miller final : public OpampModel {
  public:
   struct Options {
     Process process = default_process();
@@ -74,50 +70,8 @@ class Miller final : public core::PerformanceModel {
 
   Miller();  ///< default options
   explicit Miller(Options options);
-  ~Miller() override;
 
-  /// The model's analyses: the open-loop AC bench (A0, ft, PM, power) and
-  /// the unity-gain transient bench (SR+).
-  enum Analysis : std::size_t { kAcAnalysis = 0, kSlewAnalysis = 1 };
-  static constexpr core::AnalysisMask kAllAnalyses =
-      core::analysis_bit(kAcAnalysis) | core::analysis_bit(kSlewAnalysis);
-
-  std::size_t num_performances() const override { return 5; }
-  std::size_t analysis_of(std::size_t performance) const override;
-  std::size_t num_constraints() const override { return 7; }
-  std::vector<std::string> constraint_names() const override;
   std::unique_ptr<core::PerformanceModel> clone() const override;
-  linalg::PerfVec evaluate(const linalg::DesignVec& d,
-                           const linalg::StatPhysVec& s,
-                           const linalg::OperatingVec& theta) override;
-  /// Runs only the requested benches; each bench's entries are bitwise
-  /// those of evaluate(), and a bench that fails to converge penalizes
-  /// only its own performances.
-  linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
-                                    const linalg::StatPhysVec& s,
-                                    const linalg::OperatingVec& theta,
-                                    core::AnalysisMask analyses) override;
-  /// Native batch path: per-(d, theta) nominal solves (bias point, ft
-  /// bracket, slew trajectory) are built once; each sample row reuses them
-  /// as warm starts and is bitwise-identical to the scalar evaluate().
-  void evaluate_batch(const linalg::DesignVec& d, linalg::StatPhysBlock s_block,
-                      const linalg::OperatingVec& theta,
-                      linalg::PerfBlockView out) override;
-  linalg::Vector constraints(const linalg::DesignVec& d) override;
-
-  /// Detailed measurement access for sweeps and figures.  Deliberately
-  /// untyped (raw vectors): callers sweep arbitrary ad-hoc points.
-  struct Measurements {
-    double a0_db = 0.0;
-    double ft_mhz = 0.0;
-    double pm_deg = 0.0;
-    double sr_v_per_us = 0.0;
-    double power_mw = 0.0;
-    bool ac_valid = false;  ///< AC bench converged (A0, ft, PM, power)
-    bool sr_valid = false;  ///< transient bench converged (SR+)
-  };
-  Measurements measure(const linalg::Vector& d, const linalg::Vector& s,
-                       const linalg::Vector& theta);
 
   static std::vector<std::string> performance_names();
   static std::vector<std::string> statistical_names();
@@ -129,56 +83,14 @@ class Miller final : public core::PerformanceModel {
   const Options& options() const { return options_; }
 
  private:
-  struct Bench;
-  struct DesignContext;  // per-(d, theta) nominal solves shared by samples
+  struct Bench;  // the shared handles plus the bias device, Iref and Cc
 
   static std::unique_ptr<Bench> build_bench(const Options& options, bool unity);
-  void apply(Bench& bench, const linalg::Vector& d, const linalg::Vector& s,
-             const linalg::Vector& theta) const;
-  /// Context for (d, theta): created empty on first use, sections filled
-  /// lazily, FIFO-bounded.  Contents are a pure function of (d, theta).
-  DesignContext& design_context(const linalg::Vector& d,
-                                const linalg::Vector& theta);
-  void ensure_ac_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_ft_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  /// Context for (d, theta) with the sections the requested analyses
-  /// seed from.
-  DesignContext& prepared_context(const linalg::Vector& d,
-                                  const linalg::Vector& theta,
-                                  core::AnalysisMask analyses);
-  /// Per-sample measurement halves, each reading only its own context
-  /// section.
-  void measure_ac(DesignContext& ctx, const linalg::Vector& d,
-                  const linalg::Vector& s, const linalg::Vector& theta,
-                  Measurements& out);
-  void measure_sr(DesignContext& ctx, const linalg::Vector& d,
-                  const linalg::Vector& s, const linalg::Vector& theta,
-                  Measurements& out);
-  /// Runs the requested halves into `out`.
-  void measure_with_context(DesignContext& ctx, const linalg::Vector& d,
-                            const linalg::Vector& s,
-                            const linalg::Vector& theta,
-                            core::AnalysisMask analyses, Measurements& out);
+  void apply(OpampModel::Bench& bench, const linalg::Vector& d,
+             const linalg::Vector& s,
+             const linalg::Vector& theta) const override;
 
   Options options_;
-  std::unique_ptr<Bench> ac_bench_;
-  std::unique_ptr<Bench> sr_bench_;
-  std::vector<std::unique_ptr<DesignContext>> contexts_;  ///< FIFO cache
-  std::vector<std::uint64_t> context_key_;  ///< key-building scratch
-  linalg::Vector batch_s_;                  ///< row scratch for batches
-  /// Reusable small-signal workspace.  Every use fully re-stamps it, so it
-  /// carries cost (buffers, factors) but never results between calls.
-  sim::AcSession ac_session_;
-  /// Newton linear-system workspaces, one per bench (the benches differ
-  /// in size; sharing one would thrash the sparse pattern and symbolic
-  /// analysis on every alternation).  Like the session, they carry only
-  /// cost between calls; clone() gives each parallel worker fresh ones.
-  sim::LinearSystem newton_ac_;
-  sim::LinearSystem newton_sr_;
 };
 
 }  // namespace mayo::circuits

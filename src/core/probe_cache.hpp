@@ -21,7 +21,9 @@
 //
 // The stored value type is a template parameter: the Evaluator keeps a
 // performance row plus the mask of analyses it holds, and completes a
-// row in place (mutable find), so completion never moves its FIFO slot.
+// row in place (mutable find), so completion never moves its FIFO slot;
+// the opamp models keep their per-(d, theta) design contexts behind
+// unique_ptr, so a context never moves while the cache grows.
 #pragma once
 
 #include <cstddef>
@@ -108,14 +110,16 @@ class BasicProbeCache {
     return const_cast<Value*>(std::as_const(*this).find(key));
   }
 
-  /// Inserts (key, value); evicts the oldest entry when at capacity.  The
-  /// caller guarantees the key is not already present (probe-then-insert).
-  void insert(Key key, Value value) {
+  /// Inserts (key, value) and returns the stored value; evicts the oldest
+  /// entry when at capacity.  The caller guarantees the key is not already
+  /// present (probe-then-insert).  The reference is invalidated like find().
+  Value& insert(Key key, Value value) {
     if (capacity_ > 0 && size_ >= capacity_) evict_oldest();
     const std::uint64_t h = hash_(key.data(), key.size());
-    buckets_[h].emplace_back(std::move(key), std::move(value));
+    auto& stored = buckets_[h].emplace_back(std::move(key), std::move(value));
     if (capacity_ > 0) order_.push_back(h);
     ++size_;
+    return stored.second;
   }
 
   std::size_t size() const { return size_; }

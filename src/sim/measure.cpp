@@ -148,9 +148,9 @@ GainBandwidth measure_gain_bandwidth(AcSession& session, NodeId out,
   result.ft_hz = f_best;
   result.ft_found = true;
   result.phase_margin_deg = 180.0 + phase_deg(h_best);
-  // Wrap into a sane range: phases slightly past -180 deg should map to a
-  // small negative margin, not +360.
-  if (result.phase_margin_deg > 360.0) result.phase_margin_deg -= 360.0;
+  // 180 + arg(h) lies in (0, 360]; wrap into (-180, 180] so a loop phase
+  // past -180 deg reads as the negative margin it is, not one near +360.
+  if (result.phase_margin_deg > 180.0) result.phase_margin_deg -= 360.0;
   return result;
 }
 

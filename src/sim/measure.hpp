@@ -19,7 +19,9 @@ namespace mayo::sim {
 struct GainBandwidth {
   double a0_db = 0.0;            ///< low-frequency gain [dB]
   double ft_hz = 0.0;            ///< unity-gain frequency [Hz] (0 if not found)
-  double phase_margin_deg = 0.0; ///< 180 + phase(H(ft)) [deg] (only if ft found)
+  /// 180 + phase(H(ft)) wrapped into (-180, 180] [deg], negative for a
+  /// loop whose phase at the crossing is past -180 (only if ft found).
+  double phase_margin_deg = 0.0;
   bool ft_found = false;
 };
 

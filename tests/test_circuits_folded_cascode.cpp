@@ -29,13 +29,6 @@ class FoldedCascodeTest : public ::testing::Test {
   Vector theta0;
 };
 
-TEST_F(FoldedCascodeTest, ProblemIsConsistent) {
-  EXPECT_NO_THROW(problem.validate());
-  EXPECT_EQ(problem.num_specs(), 5u);
-  EXPECT_EQ(problem.statistical.dimension(), Stats::kCount);
-  EXPECT_EQ(problem.design.dimension(), Design::kCount);
-}
-
 TEST_F(FoldedCascodeTest, NominalMeasurementsAreHealthy) {
   const auto m = model->measure(d0, s0, theta0);
   ASSERT_TRUE(m.ac_valid);
@@ -48,13 +41,6 @@ TEST_F(FoldedCascodeTest, NominalMeasurementsAreHealthy) {
   EXPECT_GT(m.sr_v_per_us, 20.0);
   EXPECT_GT(m.power_mw, 0.5);
   EXPECT_LT(m.power_mw, 3.0);
-}
-
-TEST_F(FoldedCascodeTest, InitialDesignIsFeasible) {
-  const Vector margins = model->saturation_margins(d0);
-  ASSERT_EQ(margins.size(), 11u);
-  for (std::size_t i = 0; i < margins.size(); ++i)
-    EXPECT_GT(margins[i], 0.0) << model->constraint_names()[i];
 }
 
 TEST_F(FoldedCascodeTest, InitialSpecSignatureMatchesPaperStory) {
@@ -126,20 +112,6 @@ TEST_F(FoldedCascodeTest, PelgromSigmaShrinksWithWidth) {
               0.5 * cov.sigmas(linalg::DesignVec(d0))[mirror_local], 1e-9);
 }
 
-TEST_F(FoldedCascodeTest, EvaluatePenalizesNonConvergence) {
-  // A pathological design (minimum widths, huge current) should either
-  // converge or produce the penalty vector -- never throw.
-  Vector d_bad(Design::kCount);
-  for (std::size_t i = 0; i < Design::kCount; ++i)
-    d_bad[i] = problem.design.lower[i];
-  d_bad[Design::kIref] = problem.design.upper[Design::kIref];
-  const linalg::PerfVec f = model->evaluate(
-      linalg::DesignVec(d_bad), linalg::StatPhysVec(s0),
-      linalg::OperatingVec(theta0));
-  ASSERT_EQ(f.size(), 5u);
-  for (double v : f) EXPECT_TRUE(std::isfinite(v));
-}
-
 TEST_F(FoldedCascodeTest, PairLabels) {
   EXPECT_EQ(FoldedCascode::pair_label(Stats::kLocalFirst + 0,
                                       Stats::kLocalFirst + 1),
@@ -156,25 +128,6 @@ TEST_F(FoldedCascodeTest, PairLabels) {
   EXPECT_EQ(FoldedCascode::pair_label(Stats::kLocalFirst + 0,
                                       Stats::kLocalFirst + 2),
             "");
-}
-
-TEST_F(FoldedCascodeTest, NamesAreConsistent) {
-  EXPECT_EQ(FoldedCascode::performance_names().size(), 5u);
-  EXPECT_EQ(FoldedCascode::statistical_names().size(), Stats::kCount);
-  EXPECT_EQ(model->constraint_names().size(), model->num_constraints());
-}
-
-TEST_F(FoldedCascodeTest, RejectsWrongVectorSizes) {
-  const linalg::StatPhysVec s_tag(s0);
-  const linalg::OperatingVec theta_tag(theta0);
-  EXPECT_THROW(model->evaluate(linalg::DesignVec{1.0}, s_tag, theta_tag),
-               std::invalid_argument);
-  EXPECT_THROW(model->evaluate(linalg::DesignVec(d0), linalg::StatPhysVec{1.0},
-                               theta_tag),
-               std::invalid_argument);
-  EXPECT_THROW(model->evaluate(linalg::DesignVec(d0), s_tag,
-                               linalg::OperatingVec{1.0}),
-               std::invalid_argument);
 }
 
 }  // namespace

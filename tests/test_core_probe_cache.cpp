@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "linalg/vector.hpp"
 
@@ -111,6 +112,27 @@ TEST(ProbeCache, FifoEvictionUnderFullCollision) {
   EXPECT_EQ(cache.find(key_of(Vector{1.0})), nullptr);
   EXPECT_NE(cache.find(key_of(Vector{2.0})), nullptr);
   EXPECT_NE(cache.find(key_of(Vector{3.0})), nullptr);
+}
+
+TEST(ProbeCache, InsertReturnsTheStoredValue) {
+  // The returned reference is the cached value itself: writes through it
+  // are what a later find() sees.
+  ProbeCache cache;
+  Vector& stored = cache.insert(key_of(Vector{1.0}), Vector{10.0});
+  stored[0] = 11.0;
+  EXPECT_EQ(cache.find(key_of(Vector{1.0})), &stored);
+  EXPECT_EQ((*cache.find(key_of(Vector{1.0})))[0], 11.0);
+
+  // A move-only owning value (the opamp models cache unique_ptr design
+  // contexts) keeps its pointee in place while the cache grows, even when
+  // every key shares one bucket whose storage reallocates.
+  BasicProbeCache<std::unique_ptr<int>> owning(0, &degenerate_hash);
+  int* first =
+      owning.insert(key_of(Vector{1.0}), std::make_unique<int>(7)).get();
+  for (double x : {2.0, 3.0, 4.0, 5.0})
+    owning.insert(key_of(Vector{x}), std::make_unique<int>(0));
+  EXPECT_EQ(owning.find(key_of(Vector{1.0}))->get(), first);
+  EXPECT_EQ(*first, 7);
 }
 
 TEST(ProbeCache, ZeroCapacityIsUnlimited) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "sim/dc.hpp"
@@ -147,6 +148,41 @@ TEST(Measure, TwoPolePhaseMargin) {
       180.0 - 2.0 * std::atan(gb.ft_hz / fp) * 180.0 / std::numbers::pi;
   EXPECT_NEAR(gb.phase_margin_deg, expected_pm, 1.0);
   EXPECT_LT(gb.phase_margin_deg, 90.0);
+}
+
+TEST(Measure, ThreePolePhaseMarginIsNegative) {
+  // Gain 100 over three coincident poles at fp ~ 159 kHz: |H| = 1 at
+  // ft = fp * sqrt(100^(2/3) - 1), where the phase is -3 * atan(ft/fp)
+  // = -232.7 deg, i.e. 52.7 deg past -180.  The margin is -52.7 deg; a
+  // wrap that only corrects values above 360 reported +307.3 and passed
+  // any phase-margin lower bound.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  auto& vin = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+  vin.set_ac_value({1.0, 0.0});
+  NodeId stage_in = in;
+  double gain = 100.0;
+  for (int k = 1; k <= 3; ++k) {
+    const std::string tag = std::to_string(k);
+    const NodeId buffered = nl.add_node("m" + tag);
+    const NodeId pole = nl.add_node("p" + tag);
+    nl.add<Vcvs>("E" + tag, buffered, kGround, stage_in, kGround, gain);
+    nl.add<Resistor>("R" + tag, buffered, pole, 1e3);
+    nl.add<Capacitor>("C" + tag, pole, kGround, 1e-9);
+    stage_in = pole;
+    gain = 1.0;
+  }
+  Vector op(nl.system_size());
+  const GainBandwidth gb =
+      measure_gain_bandwidth(nl, op, Conditions{}, stage_in, 10.0, 1e9);
+  ASSERT_TRUE(gb.ft_found);
+  const double fp = 1.0 / (2.0 * std::numbers::pi * 1e3 * 1e-9);
+  EXPECT_NEAR(gb.ft_hz, fp * std::sqrt(std::pow(100.0, 2.0 / 3.0) - 1.0),
+              0.01 * gb.ft_hz);
+  const double expected_pm =
+      180.0 - 3.0 * std::atan(gb.ft_hz / fp) * 180.0 / std::numbers::pi;
+  EXPECT_NEAR(expected_pm, -52.7, 0.1);
+  EXPECT_NEAR(gb.phase_margin_deg, expected_pm, 0.1);
 }
 
 TEST(Measure, SupplyPower) {

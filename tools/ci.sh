@@ -69,6 +69,11 @@ mkdir -p bench-reports
 build-ci-release-werror/bench/bm_is_verify --smoke \
   --json bench-reports/BENCH_is_verify.json
 
+# Every paper table/figure/baseline bench: a claim printed as DEVIATES
+# fails the run; the outputs land in paper-verdicts/ like the CI artifact.
+echo "=== [release-werror] paper verdicts ==="
+tools/paper_verdicts.sh build-ci-release-werror paper-verdicts
+
 # End-to-end yield-run benchmark at smoke budgets: all four workloads with
 # every correctness check on (e2ebench/ builds its own Release tree).
 echo "=== [release-werror] end-to-end benchmark smoke ==="
