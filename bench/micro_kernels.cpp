@@ -10,7 +10,7 @@
 
 #include "circuits/folded_cascode.hpp"
 #include "core/linearization.hpp"
-#include "core/parallel.hpp"
+#include "core/verification.hpp"
 #include "core/wc_distance.hpp"
 #include "core/wc_operating.hpp"
 #include "core/yield_model.hpp"
@@ -287,12 +287,16 @@ void BM_WorstCaseDistanceAnalytic(benchmark::State& state) {
 }
 BENCHMARK(BM_WorstCaseDistanceAnalytic);
 
+// 160 samples = 5 blocks of the default 32, so 2 and 5 workers both have
+// blocks to split (the pool runs min(blocks, threads) workers).
+constexpr std::size_t kVerifySamples = 160;
+
 void BM_VerifySerial(benchmark::State& state) {
   FoldedCascodeFixture fx;
   core::Evaluator ev(fx.problem);
   const auto corners = core::find_worst_case_operating(ev, fx.d);
   core::VerificationOptions options;
-  options.num_samples = 32;
+  options.num_samples = kVerifySamples;
   for (auto _ : state) {
     ev.clear_cache();
     benchmark::DoNotOptimize(
@@ -306,13 +310,13 @@ void BM_VerifyParallel(benchmark::State& state) {
   FoldedCascodeFixture fx;
   core::Evaluator ev(fx.problem);
   const auto corners = core::find_worst_case_operating(ev, fx.d);
-  core::ParallelVerificationOptions options;
-  options.verification.num_samples = 32;
+  core::VerificationOptions options;
+  options.num_samples = kVerifySamples;
   options.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     ev.clear_cache();
-    benchmark::DoNotOptimize(core::parallel_monte_carlo_verify(
-        ev, fx.d, corners.theta_wc, options));
+    benchmark::DoNotOptimize(
+        core::monte_carlo_verify(ev, fx.d, corners.theta_wc, options));
   }
 }
 BENCHMARK(BM_VerifyParallel)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);

@@ -30,7 +30,7 @@ int main() {
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
   // Fan the per-spec worst-case searches out over all cores; results are
-  // bitwise identical to the serial path (see parallel_build_linearizations).
+  // bitwise identical to the serial path (see build_linearizations).
   options.linearization_threads = 0;
   // Variance-reduced final verification: one adaptive mean-shift IS pass
   // at the final design, reusing the worst-case points the last

@@ -189,14 +189,13 @@ class Evaluator {
 
   const EvaluationCounts& counts() const { return counts_; }
   void reset_counts() { counts_ = {}; }
-  /// Adds externally performed evaluations (e.g. parallel workers) to the
-  /// verification counter so budget reports stay complete.
-  void charge_verification(std::size_t evaluations) {
-    counts_.verification += evaluations;
-  }
-  /// Same for the optimization budget (parallel worst-case searches).
-  void charge_optimization(std::size_t evaluations) {
-    counts_.optimization += evaluations;
+  /// Adds another evaluator's counts (a worker's, see core/fan_out.hpp)
+  /// so budget reports stay complete.
+  void absorb(const EvaluationCounts& other) {
+    counts_.optimization += other.optimization;
+    counts_.verification += other.verification;
+    counts_.constraint += other.constraint;
+    counts_.cache_hits += other.cache_hits;
   }
   /// Number of memoized evaluation results currently held.
   std::size_t cache_size() const { return cache_.size(); }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/check.hpp"
+#include "core/fan_out.hpp"
 #include "obs/obs.hpp"
 #include "stats/rng.hpp"
 
@@ -167,72 +165,30 @@ void IsBlockEvaluator::run_block(const DesignVec& d, std::size_t spec,
 
 namespace {
 
-/// One parallel worker's private evaluation chain: cloned model, its own
-/// Evaluator (cold caches) and block engine.  Heap-held so the
-/// YieldProblem the Evaluator references keeps a stable address.
-struct WorkerContext {
-  WorkerContext(const YieldProblem& problem, std::size_t block_size)
-      : local(problem) {
-    local.model = std::shared_ptr<PerformanceModel>(problem.model->clone());
-    evaluator = std::make_unique<Evaluator>(local);
-    engine = std::make_unique<detail::IsBlockEvaluator>(*evaluator, block_size);
-  }
-
-  YieldProblem local;
-  std::unique_ptr<Evaluator> evaluator;
-  std::unique_ptr<detail::IsBlockEvaluator> engine;
-};
-
 /// Runs one (spec, round) allocation: draws the round's sub-stream,
-/// evaluates its blocks (serial, or fanned over the worker pool) and
-/// folds the per-block tallies into `total` in ascending block order --
-/// the merge sequence that makes serial and parallel runs bitwise equal.
+/// evaluates its blocks on the pool (block b on worker b % n) and folds
+/// the per-block tallies into `total` in ascending block order -- the
+/// merge sequence that makes every thread count bitwise equal.
 void run_round(const DesignVec& d, std::size_t spec, std::uint64_t round_id,
                std::size_t count, const StatUnitVec& mu,
                const OperatingVec& theta, const IsVerificationOptions& options,
-               detail::IsBlockEvaluator& serial_engine,
-               std::vector<std::unique_ptr<WorkerContext>>& workers,
-               detail::IsAccumulator& total) {
+               WorkerPool& pool, detail::IsAccumulator& total) {
   const stats::ShiftedSampler sampler(
       count, mu, stats::substream_seed(options.seed, spec, round_id));
   const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
   const std::size_t num_blocks = (count + block_size - 1) / block_size;
   std::vector<detail::IsAccumulator> block_accs(num_blocks);
 
-  const std::size_t pool =
-      std::min<std::size_t>(workers.size(), num_blocks);
-  if (pool > 1) {
-    // Blocks go to worker b % pool; each worker writes only its own
-    // slots of block_accs (disjoint memory locations).
-    std::vector<std::exception_ptr> worker_errors(pool);
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) {
-      threads.emplace_back([&, t]() {  // parallel-entry
-        try {
-          WorkerContext& ctx = *workers[t];
-          for (std::size_t b = t; b < num_blocks; b += pool) {
-            const std::size_t first = b * block_size;
-            const std::size_t n = std::min(block_size, count - first);
-            ctx.engine->run_block(d, spec, theta, sampler, first, n,
-                                  block_accs[b]);
-          }
-        } catch (...) {
-          worker_errors[t] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    for (const std::exception_ptr& error : worker_errors)
-      if (error) std::rethrow_exception(error);
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) {
+  // Each worker writes only its own slots of block_accs.
+  pool.run(num_blocks, [&](unsigned w, unsigned n,
+                           Evaluator& ev) {  // parallel-entry
+    detail::IsBlockEvaluator engine(ev, block_size);
+    for (std::size_t b = w; b < num_blocks; b += n) {
       const std::size_t first = b * block_size;
-      const std::size_t n = std::min(block_size, count - first);
-      serial_engine.run_block(d, spec, theta, sampler, first, n,
-                              block_accs[b]);
+      engine.run_block(d, spec, theta, sampler, first,
+                       std::min(block_size, count - first), block_accs[b]);
     }
-  }
+  });
 
   for (std::size_t b = 0; b < num_blocks; ++b) total.merge(block_accs[b]);
 }
@@ -270,26 +226,9 @@ IsVerificationResult importance_sample_verify(
   for (const StatUnitVec& point : s_wc) mu.push_back(point * options.shift_scale);
 
   const std::size_t evals_before = evaluator.counts().verification;
-  const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
-  detail::IsBlockEvaluator serial_engine(evaluator, block_size);
-
-  // Worker pool, built once and reused by every round.  Capped by the
-  // largest number of blocks any single round can have -- extra workers
-  // would only pay the model-clone cost and then idle.
-  unsigned threads = options.threads;
-  if (threads == 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t round_cap =
-      std::max(options.initial_samples, options.round_samples);
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads, (round_cap + block_size - 1) / block_size));
-  std::vector<std::unique_ptr<WorkerContext>> workers;
-  if (threads > 1 && evaluator.problem().model->clone() != nullptr) {
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-      workers.push_back(
-          std::make_unique<WorkerContext>(evaluator.problem(), block_size));
-  }
+  // One pool for every round: workers are cloned the first time a round
+  // has blocks for them and keep their caches across rounds.
+  WorkerPool pool(evaluator, options.threads);
 
   std::vector<detail::IsAccumulator> totals(num_specs);
   std::vector<SpecIsEstimate> estimates(num_specs);
@@ -299,7 +238,7 @@ IsVerificationResult importance_sample_verify(
   // (spec, 0)).
   for (std::size_t i = 0; i < num_specs; ++i) {
     run_round(d, i, 0, options.initial_samples, mu[i], theta_wc[i], options,
-              serial_engine, workers, totals[i]);
+              pool, totals[i]);
     estimates[i] =
         detail::finalize_estimate(i, totals[i], mu[i].norm(), options);
   }
@@ -316,19 +255,12 @@ IsVerificationResult importance_sample_verify(
         estimates[widest].half_width() <= options.target_half_width)
       break;
     run_round(d, widest, r, options.round_samples, mu[widest],
-              theta_wc[widest], options, serial_engine, workers,
-              totals[widest]);
+              theta_wc[widest], options, pool, totals[widest]);
     estimates[widest] = detail::finalize_estimate(widest, totals[widest],
                                                   mu[widest].norm(), options);
     ++rounds;
     tallies.mc_is_rounds.add();
   }
-
-  // Worker evaluations join the caller's verification budget.
-  std::size_t worker_evaluations = 0;
-  for (const std::unique_ptr<WorkerContext>& worker : workers)
-    worker_evaluations += worker->evaluator->counts().verification;
-  evaluator.charge_verification(worker_evaluations);
 
   IsVerificationResult result;
   result.rounds = rounds;

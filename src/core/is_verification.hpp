@@ -88,10 +88,10 @@ struct IsVerificationOptions {
   /// effective sample size: ESS_f < ess_fraction * (failing draws).
   double ess_fraction = 0.2;
   double z = 1.96;  ///< CI width (1.96 ~ 95%)
-  /// Worker threads: 1 = serial, 0 = hardware concurrency.  Results are
-  /// bitwise identical for every thread count; only evaluation-cache
-  /// hit patterns (and hence eval counts) can differ, because parallel
-  /// workers start with cold caches.
+  /// Worker threads (core/fan_out.hpp): 1 = serial, 0 = hardware
+  /// concurrency.  Results are bitwise identical for every thread count;
+  /// only evaluation-cache hit patterns (and hence eval counts) can
+  /// differ, because workers start with cold caches.
   unsigned threads = 1;
 };
 
@@ -174,7 +174,7 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
 /// blocks through the Evaluator batch path (the corner-grouped spine of
 /// verification.hpp, one corner per spec) and folds (fail, weight) pairs
 /// into an IsAccumulator in ascending sample order.  Not thread-safe;
-/// parallel workers own one engine (plus one Evaluator) each.
+/// each worker owns one engine per round.
 class IsBlockEvaluator {
  public:
   IsBlockEvaluator(Evaluator& evaluator, std::size_t block_size);
@@ -185,8 +185,6 @@ class IsBlockEvaluator {
                  const linalg::OperatingVec& theta,
                  const stats::ShiftedSampler& sampler, std::size_t first,
                  std::size_t count, IsAccumulator& acc);
-
-  Evaluator& evaluator() { return evaluator_; }
 
  private:
   Evaluator& evaluator_;

@@ -61,22 +61,16 @@ struct LinearizedModels {
 };
 
 /// Builds theta_wc, the worst-case points and the linear models at d_f.
+/// `threads` workers (core/fan_out.hpp; 0 = hardware concurrency) run the
+/// per-spec worst-case searches and design gradients, spec i on worker
+/// i % n.  Model evaluations are pure functions of (d, s, theta) (see
+/// evaluator.hpp), so every returned model, worst-case point and corner
+/// is bitwise identical for any thread count; workers start with cold
+/// caches, so only the split between evaluations and cache hits can
+/// differ.
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const linalg::DesignVec& d_f,
-                                      const LinearizationOptions& options = {});
-
-namespace detail {
-
-/// Appends the primary model for one spec -- and, when `enable_mirror` and
-/// the worst-case search detected a quadratic performance, the mirrored
-/// model (eq. 21-22) -- to `out.models`.  Shared by the serial loop in
-/// build_linearizations and the parallel fan-out in core/parallel, so the
-/// two paths assemble bitwise-identical models from identical inputs.
-void append_spec_models(std::size_t spec, const linalg::OperatingVec& theta_wc,
-                        const linalg::DesignVec& d_f, const WorstCasePoint& wc,
-                        linalg::DesignVec grad_d, bool enable_mirror,
-                        LinearizedModels& out);
-
-}  // namespace detail
+                                      const LinearizationOptions& options = {},
+                                      unsigned threads = 1);
 
 }  // namespace mayo::core

@@ -1,6 +1,5 @@
 #include "core/optimizer.hpp"
 
-#include "core/parallel.hpp"
 #include "core/problem_audit.hpp"
 #include "core/yield_model.hpp"
 
@@ -77,12 +76,9 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
                                  evaluator.num_statistical(),
                                  options.sample_seed);
 
-  const ParallelLinearizationOptions parallel_linearization{
-      options.linearization, options.linearization_threads};
-
   // Initial linearization doubles as the "Initial" trace row.
-  LinearizedModels linearized =
-      parallel_build_linearizations(evaluator, d_f, parallel_linearization);
+  LinearizedModels linearized = build_linearizations(
+      evaluator, d_f, options.linearization, options.linearization_threads);
   {
     IterationRecord initial =
         make_record(evaluator, d_f, linearized, samples, 0);
@@ -126,8 +122,9 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
 
       // Step 5: re-linearize at the candidate and apply the monotone
       // safeguard.
-      LinearizedModels candidate_models = parallel_build_linearizations(
-          evaluator, d_new, parallel_linearization);
+      LinearizedModels candidate_models =
+          build_linearizations(evaluator, d_new, options.linearization,
+                               options.linearization_threads);
       IterationRecord record = make_record(evaluator, d_new, candidate_models,
                                            samples, iteration);
       if (options.monotone_safeguard &&

@@ -44,11 +44,11 @@ struct YieldOptimizerOptions {
   /// behaviour of a misled linear model (Tables 3/4).
   bool monotone_safeguard = true;
   LinearizationOptions linearization;
-  /// Worker threads for the per-spec worst-case searches of every
-  /// (re-)linearization (see parallel_build_linearizations): 1 = serial,
-  /// 0 = hardware concurrency.  Results are bitwise identical to serial;
-  /// only the evaluation-cache hit pattern (and hence the counters) can
-  /// differ, because each worker starts with a cold cache.
+  /// Worker threads for the per-spec worst-case searches and design
+  /// gradients of every (re-)linearization (see build_linearizations):
+  /// 1 = serial, 0 = hardware concurrency.  Results are bitwise identical
+  /// to serial; only the evaluation-cache hit pattern (and hence the
+  /// counters) can differ, because each worker starts with a cold cache.
   unsigned linearization_threads = 1;
   CoordinateSearchOptions search;
   LineSearchOptions line_search;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/check.hpp"
+#include "core/fan_out.hpp"
 #include "obs/obs.hpp"
 #include "stats/sampler.hpp"
 
@@ -72,6 +73,17 @@ void BlockVerifier::run_block(const DesignVec& d,
 
 }  // namespace detail
 
+namespace {
+
+/// One worker's share of the verification, merged in worker order.
+struct WorkerTally {
+  std::size_t passing = 0;
+  std::vector<std::size_t> fails_per_spec;
+  std::vector<stats::RunningStats> perf_stats;
+};
+
+}  // namespace
+
 CornerGrouping group_corners(const std::vector<OperatingVec>& theta_wc) {
   CornerGrouping grouping;
   grouping.group_of_spec.resize(theta_wc.size());
@@ -114,24 +126,48 @@ VerificationResult monte_carlo_verify(
   if (options.record_decisions) result.sample_pass.assign(samples.count(), 0);
   const std::size_t evals_before = evaluator.counts().verification;
 
+  // Block b goes to worker b % n.  Each worker folds its blocks in
+  // ascending order into its own verifier, writes only its blocks' slots
+  // of sample_pass, and leaves its tallies in slot w (n <= num_blocks).
   const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
-  detail::BlockVerifier verifier(evaluator, grouping, block_size);
-  for (std::size_t first = 0; first < samples.count(); first += block_size) {
-    const std::size_t count = std::min(block_size, samples.count() - first);
-    verifier.run_block(d, samples, first, count,
-                       options.record_decisions ? &result.sample_pass
-                                                : nullptr);
-  }
+  const std::size_t num_blocks =
+      (samples.count() + block_size - 1) / block_size;
+  std::vector<WorkerTally> tallies(num_blocks);
+  WorkerPool pool(evaluator, options.threads);
+  pool.run(num_blocks, [&](unsigned w, unsigned n,
+                           Evaluator& ev) {  // parallel-entry
+    detail::BlockVerifier verifier(ev, grouping, block_size);
+    for (std::size_t b = w; b < num_blocks; b += n) {
+      const std::size_t first = b * block_size;
+      verifier.run_block(d, samples, first,
+                         std::min(block_size, samples.count() - first),
+                         options.record_decisions ? &result.sample_pass
+                                                  : nullptr);
+    }
+    tallies[w] = {verifier.passing(), verifier.fails_per_spec(),
+                  verifier.perf_stats()};
+  });
 
-  result.fails_per_spec = verifier.fails_per_spec();
-  const std::size_t passing = verifier.passing();
+  // Deterministic merge in worker order (slots of no worker are empty).
+  // A lone worker's statistics are copied, so the serial run reports its
+  // own fold bit for bit.
+  result.fails_per_spec.assign(num_specs, 0);
+  std::vector<stats::RunningStats> merged(num_specs);
+  std::size_t passing = 0;
+  for (const WorkerTally& tally : tallies) {
+    passing += tally.passing;
+    for (std::size_t i = 0; i < tally.perf_stats.size(); ++i) {
+      result.fails_per_spec[i] += tally.fails_per_spec[i];
+      merged[i].merge(tally.perf_stats[i]);
+    }
+  }
   result.yield = static_cast<double>(passing) / samples.count();
   result.confidence = stats::yield_confidence(passing, samples.count());
   result.performance_mean.resize(num_specs);
   result.performance_stddev.resize(num_specs);
   for (std::size_t i = 0; i < num_specs; ++i) {
-    result.performance_mean[i] = verifier.perf_stats()[i].mean();
-    result.performance_stddev[i] = verifier.perf_stats()[i].stddev();
+    result.performance_mean[i] = merged[i].mean();
+    result.performance_stddev[i] = merged[i].stddev();
   }
   result.evaluations = evaluator.counts().verification - evals_before;
   return result;

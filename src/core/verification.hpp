@@ -29,6 +29,12 @@ struct VerificationOptions {
   /// row exactly like a scalar probe, and per-sample statistics are always
   /// accumulated in ascending sample order).
   std::size_t block_size = 32;
+  /// Worker threads (core/fan_out.hpp): 1 = serial, 0 = hardware
+  /// concurrency.  Decisions and pass/fail counts are identical for every
+  /// thread count.  Workers' moments merge in worker order (last-ulp
+  /// differences), and workers start with cold caches (evaluation counts
+  /// can differ where the caller's cache was warm).
+  unsigned threads = 1;
 };
 
 struct VerificationResult {
@@ -41,7 +47,7 @@ struct VerificationResult {
   std::vector<double> performance_stddev;
   std::size_t evaluations = 0;            ///< model evaluations spent
   /// Per-sample pass decision (only with record_decisions; else empty).
-  /// Identical between the serial and parallel verifier by construction.
+  /// Identical for every thread count by construction.
   std::vector<std::uint8_t> sample_pass;
 };
 
@@ -62,13 +68,12 @@ VerificationResult monte_carlo_verify(
 
 namespace detail {
 
-/// Block-evaluation engine shared by the serial and parallel verifiers:
-/// evaluates sample blocks corner-major through the Evaluator batch path
-/// and folds per-sample pass/fail decisions and performance statistics
-/// into its accumulators in ascending sample order.  Because both
-/// verifiers run the exact same code per sample, their decisions are
-/// identical by construction.  Not thread-safe; parallel workers own one
-/// verifier (plus one Evaluator) each.
+/// Block-evaluation engine of the verifier: evaluates sample blocks
+/// corner-major through the Evaluator batch path and folds per-sample
+/// pass/fail decisions and performance statistics into its accumulators
+/// in ascending sample order.  Every worker runs the exact same code per
+/// sample, so decisions are identical for any thread count by
+/// construction.  Not thread-safe; each worker owns one verifier.
 class BlockVerifier {
  public:
   /// `evaluator` and `grouping` must outlive the verifier.  `block_size`

@@ -20,6 +20,8 @@
 // PerformanceModel default); SplitSyntheticModel computes the same values
 // in two analyses, f0 in analysis 0 and f1 in analysis 1, and counts the
 // runs of each -- the fixture of the Evaluator's analysis-aware path.
+// FaultySyntheticModel throws at every point beyond a chosen radius in s,
+// the fixture of failures inside the worker fan-outs.
 //
 // Statistical parameters are standard normal (sigma 1, no correlation), so
 // s_hat == s and the covariance transform is the identity; design bounds
@@ -29,6 +31,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "core/problem.hpp"
 
@@ -118,6 +121,41 @@ class SplitSyntheticModel final : public core::PerformanceModel {
   std::array<int, 2> runs{};  ///< runs of analysis 0 and analysis 1
 };
 
+/// SyntheticModel that throws std::runtime_error at every point with
+/// |s| > fault_radius: the nominal point and the operating-corner sweep
+/// stay clean, worst-case searches and samples fail.  Clonable, so the
+/// failure happens on pool workers.
+class FaultySyntheticModel final : public core::PerformanceModel {
+ public:
+  explicit FaultySyntheticModel(double fault_radius)
+      : fault_radius_(fault_radius) {}
+
+  std::size_t num_performances() const override { return 2; }
+  std::size_t num_constraints() const override { return 2; }
+
+  linalg::PerfVec evaluate(const linalg::DesignVec& d,
+                           const linalg::StatPhysVec& s,
+                           const linalg::OperatingVec& theta) override {
+    if (s.norm() > fault_radius_)
+      throw std::runtime_error("synthetic model failure");
+    linalg::PerfVec f(2);
+    f[0] = SyntheticModel::linear(d, s, theta);
+    f[1] = SyntheticModel::quadratic(d, s);
+    return f;
+  }
+
+  linalg::Vector constraints(const linalg::DesignVec& d) override {
+    return SyntheticModel::constraint_values(d);
+  }
+
+  std::unique_ptr<core::PerformanceModel> clone() const override {
+    return std::make_unique<FaultySyntheticModel>(fault_radius_);
+  }
+
+ private:
+  double fault_radius_;
+};
+
 inline core::YieldProblem make_synthetic_problem(double d0 = 2.0,
                                                  double d1 = 1.0) {
   core::YieldProblem problem;
@@ -145,6 +183,13 @@ inline core::YieldProblem make_split_synthetic_problem(double d0 = 2.0,
                                                        double d1 = 1.0) {
   core::YieldProblem problem = make_synthetic_problem(d0, d1);
   problem.model = std::make_shared<SplitSyntheticModel>();
+  return problem;
+}
+
+/// The synthetic problem on the faulty model.
+inline core::YieldProblem make_faulty_synthetic_problem(double fault_radius) {
+  core::YieldProblem problem = make_synthetic_problem();
+  problem.model = std::make_shared<FaultySyntheticModel>(fault_radius);
   return problem;
 }
 

@@ -1,4 +1,4 @@
-#include "core/parallel.hpp"
+#include "core/verification.hpp"
 
 #include <gtest/gtest.h>
 
@@ -58,10 +58,9 @@ TEST(ParallelVerify, MatchesSerialExactly) {
 
   auto problem2 = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator parallel_ev(problem2);
-  ParallelVerificationOptions popts;
-  popts.verification = vopts;
+  VerificationOptions popts = vopts;
   popts.threads = 4;
-  const VerificationResult parallel = parallel_monte_carlo_verify(
+  const VerificationResult parallel = monte_carlo_verify(
       parallel_ev, DesignVec(problem2.design.nominal), theta_wc, popts);
 
   // Pass/fail decisions are identical; only moment accumulation order
@@ -80,23 +79,44 @@ TEST(ParallelVerify, MatchesSerialExactly) {
 TEST(ParallelVerify, ChargesVerificationBudget) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelVerificationOptions popts;
-  popts.verification.num_samples = 100;
+  VerificationOptions popts;
+  popts.num_samples = 100;
   popts.threads = 3;
-  const VerificationResult result = parallel_monte_carlo_verify(
+  const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{1.0}}, popts);
   EXPECT_EQ(ev.counts().verification, result.evaluations);
   EXPECT_EQ(result.evaluations, 100u);  // shared corners: 1 eval per sample
 }
 
+TEST(ParallelVerify, ProbeTotalsIndependentOfThreads) {
+  // Every probe is either an evaluation or a cache hit, and workers hand
+  // both counts to the caller: 301 samples at two distinct corners.
+  const auto probes = [](unsigned threads) {
+    auto problem = testing::make_synthetic_problem(2.0, 1.0);
+    Evaluator ev(problem);
+    VerificationOptions options;
+    options.num_samples = 301;
+    options.threads = threads;
+    (void)monte_carlo_verify(ev, DesignVec(problem.design.nominal),
+                             {OperatingVec{1.0}, OperatingVec{0.0}}, options);
+    return ev.counts().verification + ev.counts().cache_hits;
+  };
+  const std::size_t serial = probes(1);
+  EXPECT_EQ(serial, 602u);
+  for (unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(probes(threads), serial);
+  }
+}
+
 TEST(ParallelVerify, SingleThreadFallsBackToSerial) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelVerificationOptions popts;
-  popts.verification.num_samples = 50;
+  VerificationOptions popts;
+  popts.num_samples = 50;
   popts.threads = 1;
-  const VerificationResult result = parallel_monte_carlo_verify(
+  const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{1.0}}, popts);
   EXPECT_EQ(result.evaluations, 50u);
@@ -129,10 +149,10 @@ TEST(ParallelVerify, NonClonableModelFallsBackToSerial) {
   problem.operating.nominal = Vector{0.5};
   problem.statistical.add(stats::StatParam::global("s", 0.0, 1.0));
   Evaluator ev(problem);
-  ParallelVerificationOptions popts;
-  popts.verification.num_samples = 64;
+  VerificationOptions popts;
+  popts.num_samples = 64;
   popts.threads = 4;
-  const VerificationResult result = parallel_monte_carlo_verify(
+  const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal), {OperatingVec{0.5}}, popts);
   EXPECT_GT(result.yield, 0.7);  // Phi(1) ~ 0.84
   EXPECT_EQ(result.evaluations, 64u);
@@ -144,15 +164,16 @@ TEST(ParallelVerify, WorksOnRealCircuit) {
   const auto corners =
       find_worst_case_operating(ev, DesignVec(problem.design.nominal));
 
-  ParallelVerificationOptions popts;
-  popts.verification.num_samples = 60;
+  VerificationOptions popts;
+  popts.num_samples = 60;
   popts.threads = 4;
-  const VerificationResult parallel = parallel_monte_carlo_verify(
+  const VerificationResult parallel = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal), corners.theta_wc, popts);
 
   auto problem2 = circuits::Miller::make_problem();
   Evaluator ev2(problem2);
-  VerificationOptions vopts = popts.verification;
+  VerificationOptions vopts = popts;
+  vopts.threads = 1;
   const VerificationResult serial = monte_carlo_verify(
       ev2, DesignVec(problem2.design.nominal), corners.theta_wc, vopts);
 

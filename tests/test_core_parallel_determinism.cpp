@@ -1,10 +1,10 @@
-// Determinism contract of the parallel Monte-Carlo verifier: for every
-// thread count and sample count, parallel_monte_carlo_verify produces the
+// Determinism contract of the Monte-Carlo verifier's worker fan-out: for
+// every thread count and sample count, monte_carlo_verify produces the
 // same pass count, the same per-spec failure counts, and (with
 // record_decisions) bit-identical per-sample pass/fail decisions as the
-// serial monte_carlo_verify.  Only floating-point accumulation order of
-// the reported moments may differ.
-#include "core/parallel.hpp"
+// serial run.  Only floating-point accumulation order of the reported
+// moments may differ.
+#include "core/verification.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,12 +37,12 @@ VerificationResult run_parallel(std::size_t num_samples, unsigned threads,
                                 std::size_t block_size = 32) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelVerificationOptions opts;
-  opts.verification.num_samples = num_samples;
-  opts.verification.record_decisions = true;
-  opts.verification.block_size = block_size;
+  VerificationOptions opts;
+  opts.num_samples = num_samples;
+  opts.record_decisions = true;
+  opts.block_size = block_size;
   opts.threads = threads;
-  return parallel_monte_carlo_verify(
+  return monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{0.0}}, opts);
 }
@@ -127,10 +127,10 @@ TEST(ParallelDeterminism, DecisionsConsistentWithAggregates) {
 TEST(ParallelDeterminism, DecisionsOffByDefault) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelVerificationOptions opts;
-  opts.verification.num_samples = 16;
+  VerificationOptions opts;
+  opts.num_samples = 16;
   opts.threads = 2;
-  const VerificationResult result = parallel_monte_carlo_verify(
+  const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{0.0}}, opts);
   EXPECT_TRUE(result.sample_pass.empty());

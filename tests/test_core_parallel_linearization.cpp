@@ -1,11 +1,11 @@
-// Determinism contract of the parallel linearization fan-out: for every
-// thread count, parallel_build_linearizations returns models, worst-case
-// points and operating corners that are BITWISE identical to the serial
-// build_linearizations.  Model evaluations are pure functions of
-// (d, s, theta) (see evaluator.hpp), so per-worker cold caches change how
-// often points are re-simulated but never the values -- only the
-// evaluation *counters* may differ between the two paths.
-#include "core/parallel.hpp"
+// Determinism contract of the linearization fan-out: for every thread
+// count, build_linearizations returns models, worst-case points and
+// operating corners that are BITWISE identical to the serial run.  Model
+// evaluations are pure functions of (d, s, theta) (see evaluator.hpp), so
+// per-worker cold caches change how often points are re-simulated but
+// never the values -- only the evaluation *counters* may differ between
+// the two paths.
+#include "core/linearization.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,11 +30,10 @@ LinearizedModels run_parallel(unsigned threads,
                               bool linearize_at_nominal = false) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelLinearizationOptions opts;
-  opts.threads = threads;
-  opts.linearization.linearize_at_nominal = linearize_at_nominal;
-  return parallel_build_linearizations(
-      ev, DesignVec(problem.design.nominal), opts);
+  LinearizationOptions opts;
+  opts.linearize_at_nominal = linearize_at_nominal;
+  return build_linearizations(ev, DesignVec(problem.design.nominal), opts,
+                              threads);
 }
 
 void expect_identical(const LinearizedModels& serial,
@@ -94,7 +93,7 @@ TEST(ParallelLinearization, MoreThreadsThanSpecs) {
 
 TEST(ParallelLinearization, NominalAblationFallsBackToSerial) {
   // The ablation's shared finite-difference batch is one evaluation
-  // block; the parallel entry must route it to the serial path untouched.
+  // block; any thread count must run it serially, untouched.
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
   LinearizationOptions serial_opts;
@@ -107,10 +106,7 @@ TEST(ParallelLinearization, NominalAblationFallsBackToSerial) {
 TEST(ParallelLinearization, WorkerEvaluationsChargedToOptimizer) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelLinearizationOptions opts;
-  opts.threads = 2;
-  (void)parallel_build_linearizations(
-      ev, DesignVec(problem.design.nominal), opts);
+  (void)build_linearizations(ev, DesignVec(problem.design.nominal), {}, 2);
   // The fan-out must charge every worker evaluation to the optimization
   // budget; the serial path's count is a lower bound (workers start with
   // cold caches, so they may re-simulate points the shared cache reused).
@@ -122,6 +118,25 @@ TEST(ParallelLinearization, WorkerEvaluationsChargedToOptimizer) {
   EXPECT_EQ(ev.counts().verification, 0u);
 }
 
+TEST(ParallelLinearization, ProbeTotalsIndependentOfThreads) {
+  // Every probe is either an evaluation or a cache hit, and workers hand
+  // both counts to the caller, so their sum is the serial run's at every
+  // thread count (only the split moves: cold worker caches re-simulate).
+  const auto probes = [](unsigned threads) {
+    auto problem = testing::make_synthetic_problem(2.0, 1.0);
+    Evaluator ev(problem);
+    (void)build_linearizations(ev, DesignVec(problem.design.nominal), {},
+                               threads);
+    return ev.counts().optimization + ev.counts().cache_hits;
+  };
+  const std::size_t serial = probes(1);
+  EXPECT_EQ(serial, 216u);
+  for (unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(probes(threads), serial);
+  }
+}
+
 TEST(ParallelLinearization, AnalysisSplitKeepsModelsAndCounts) {
   // The two-analysis model runs only each spec's analysis in the searches.
   // Serial and 2-thread runs must still give the single-analysis models bit
@@ -130,16 +145,14 @@ TEST(ParallelLinearization, AnalysisSplitKeepsModelsAndCounts) {
   const LinearizedModels serial = run_serial();
   for (unsigned threads : {1u, 2u}) {
     SCOPED_TRACE(threads);
-    ParallelLinearizationOptions opts;
-    opts.threads = threads;
     auto single_problem = testing::make_synthetic_problem(2.0, 1.0);
     Evaluator single_ev(single_problem);
-    const LinearizedModels single = parallel_build_linearizations(
-        single_ev, DesignVec(single_problem.design.nominal), opts);
+    const LinearizedModels single = build_linearizations(
+        single_ev, DesignVec(single_problem.design.nominal), {}, threads);
     auto split_problem = testing::make_split_synthetic_problem(2.0, 1.0);
     Evaluator split_ev(split_problem);
-    const LinearizedModels split = parallel_build_linearizations(
-        split_ev, DesignVec(split_problem.design.nominal), opts);
+    const LinearizedModels split = build_linearizations(
+        split_ev, DesignVec(split_problem.design.nominal), {}, threads);
 
     expect_identical(serial, single);
     expect_identical(serial, split);

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/probe_cache.hpp"
 #include "core/verification.hpp"
 #include "synthetic_problem.hpp"
@@ -143,12 +142,11 @@ TEST(ObsIntegration, SerialAndParallelVerifyMoveCountersEqually) {
 
   auto parallel_problem = mayo::testing::make_synthetic_problem(2.0, 1.0);
   core::Evaluator parallel_ev(parallel_problem);
-  core::ParallelVerificationOptions popts;
-  popts.verification = vopts;
+  core::VerificationOptions popts = vopts;
   popts.threads = 4;
   const std::uint64_t samples_1 = tallies.mc_samples.value();
   const std::uint64_t blocks_1 = tallies.mc_blocks.value();
-  const core::VerificationResult parallel = core::parallel_monte_carlo_verify(
+  const core::VerificationResult parallel = core::monte_carlo_verify(
       parallel_ev, linalg::DesignVec(parallel_problem.design.nominal),
       theta_wc, popts);
 

@@ -2,11 +2,13 @@
 """Concurrency-purity static analyzer: call-graph race certification.
 
 The paper ran its loop "on a network (100 Mbit/sec) of 5 computers in
-parallel" (Table 7); this repo's parallel phases (the MC verifier and the
-per-spec worst-case fan-out of build_linearizations) promise bitwise
-serial==parallel results.  That promise rests on a discipline -- worker
-code must not touch shared mutable state -- which TSan can only spot-check
-on the inputs the tests happen to run.  This tool proves it statically:
+parallel" (Table 7); this repo's parallel phases (the MC verifier, the
+per-spec worst-case searches and gradients of build_linearizations and
+the IS verifier's rounds, all run by core::WorkerPool in
+src/core/fan_out.hpp) promise bitwise serial==parallel results.  That
+promise rests on a discipline -- worker code must not touch shared
+mutable state -- which TSan can only spot-check on the inputs the tests
+happen to run.  This tool proves it statically:
 
   1. Every src/ file is tokenized (tools/cpp_tokens.py, shared with
      tools/lint.py) and parsed into function definitions (namespaces,
@@ -16,9 +18,9 @@ on the inputs the tests happen to run.  This tool proves it statically:
      resolution over-approximates: an edge too many can only make the
      certification stricter, never unsound.
   3. Functions transitively reachable from a declared parallel entry
-     point -- a definition carrying a `// parallel-entry` comment, such
-     as the worker thunks in src/core/parallel.cpp -- form the certified
-     set, and three rule families are enforced:
+     point -- a definition carrying a `// parallel-entry` comment, i.e.
+     the worker bodies each phase hands to WorkerPool::run -- form the
+     certified set, and four rule families are enforced:
 
   parallel-purity     no function in the certified set may write
                       non-atomic shared state (namespace-scope variables,
@@ -37,6 +39,12 @@ on the inputs the tests happen to run.  This tool proves it statically:
                       compare_exchange names an explicit std::memory_order
                       (the seq_cst default hides the cost and the intent).
                       Deliberate exceptions carry `// memory-order-ok:`.
+  worker-coverage     every function in WORKER_FUNCTIONS (what the pool's
+                      workers run) is defined and reachable from an entry.
+                      Calls resolve by name, so a marker that reaches
+                      none of them -- e.g. on the pool's own thread thunk,
+                      which only calls body(...) -- would otherwise
+                      certify an empty set and still pass.
 
 Violations in the certified set are reported with the full call chain
 from the entry point (file:line at every hop), so a diagnostic reads as a
@@ -68,6 +76,18 @@ SCHEMA = "mayo.analyze/1"
 ENTRY_MARKER = "parallel-entry"
 SHARED_OK = "shared-ok:"
 MEMORY_ORDER_OK = "memory-order-ok:"
+
+# What the pool's workers run (worker-coverage rule).  Each entry matches
+# a definition's qualified name or a `::`-suffix of it.
+WORKER_FUNCTIONS = (
+    "find_worst_case_point",
+    "Evaluator::margin_gradient_d",
+    "BlockVerifier::run_block",
+    "IsBlockEvaluator::run_block",
+    "Evaluator::performances_batch",
+    "OpampModel::evaluate_batch",
+    "OpampModel::evaluate_analyses",
+)
 
 # Non-reentrant / hidden-global-state calls banned in worker-reachable
 # code.  Matched against the last component of a non-member call, so
@@ -336,8 +356,10 @@ class FileParser:
 # ---------------------------------------------------------------------------
 
 class Analyzer:
-    def __init__(self, root: Path):
+    def __init__(self, root: Path,
+                 worker_functions: tuple[str, ...] = WORKER_FUNCTIONS):
         self.root = root
+        self.worker_functions = worker_functions
         self.violations: list[tuple[str, int, str, str]] = []
         self.sources: dict[str, SourceFile] = {}
         self.functions: list[FunctionDef] = []
@@ -596,6 +618,25 @@ class Analyzer:
                     "reachable from a parallel entry point: "
                     f"{self._chain(idx)}")
 
+    def check_worker_coverage(self) -> None:
+        for name in self.worker_functions:
+            matches = [i for i, f in enumerate(self.functions)
+                       if f.name == name or f.name.endswith("::" + name)]
+            if not matches:
+                self.report(
+                    "tools/analyze.py", 0, "worker-coverage",
+                    f"worker function '{name}' is not defined under src/ "
+                    "(renamed? update WORKER_FUNCTIONS)")
+            for i in matches:
+                if i in self.reachable:
+                    continue
+                f = self.functions[i]
+                self.report(
+                    f.file, f.line, "worker-coverage",
+                    f"'{f.name}' runs on pool workers but no "
+                    "// parallel-entry reaches it: mark the worker body "
+                    "that calls it")
+
     def check_atomic_discipline(self) -> None:
         for rel, parser in self.parsers.items():
             view = parser.view
@@ -701,6 +742,7 @@ class Analyzer:
         self.check_census()
         self.check_parallel_purity()
         self.check_atomic_discipline()
+        self.check_worker_coverage()
         for rel, line, rule, message in sorted(self.violations):
             print(f"{rel}:{line}: [{rule}] {message}")
         print(f"analyze: {len(self.sources)} files, "

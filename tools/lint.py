@@ -126,7 +126,6 @@ HOT_FILES = {
     "src/core/evaluator.cpp",
     "src/core/verification.cpp",
     "src/core/is_verification.cpp",
-    "src/core/parallel.cpp",
     "src/core/yield_model.cpp",
     # Simulator kernels under the per-sample loop: every Newton iteration
     # and AC frequency probe runs through these.

@@ -26,9 +26,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import analyze  # noqa: E402
 
 
-def run_analyze(root: Path) -> analyze.Analyzer:
-    """Runs the Analyzer silently; returns it with violations populated."""
-    analyzer = analyze.Analyzer(root)
+def run_analyze(root: Path,
+                worker_functions: tuple[str, ...] = ()) -> analyze.Analyzer:
+    """Runs the Analyzer silently; returns it with violations populated.
+    Fixture trees define none of the real worker functions, so the
+    worker-coverage list is empty unless a test passes one."""
+    analyzer = analyze.Analyzer(root, worker_functions)
     with contextlib.redirect_stdout(io.StringIO()), \
          contextlib.redirect_stderr(io.StringIO()):
         code = analyzer.run()
@@ -341,6 +344,68 @@ class AnalyzeRepoTest(unittest.TestCase):
         # helper() is called from the lambda body, not from spawn's own.
         self.assertIn("helper", [c.name for c in lam.calls])
         self.assertNotIn("helper", [c.name for c in spawn.calls])
+
+    # -- worker-coverage ----------------------------------------------------
+
+    # A pool whose thread thunk calls only body(...), and a phase handing
+    # it a worker body that runs Engine::run_block.
+    POOL_TEMPLATE = """namespace m {{
+struct Engine {{ void run_block(int b); }};
+void Engine::run_block(int b) {{ (void)b; }}
+template <class Body> void pool_run(const Body& body) {{
+  auto thunk = [&]() {{  {thunk_marker}
+    body(0);
+  }};
+  thunk();
+}}
+void phase() {{
+  Engine engine;
+  pool_run([&](int b) {{  {body_marker}
+    engine.run_block(b);
+  }});
+}}
+}}  // namespace m
+"""
+
+    def test_worker_coverage_flags_a_marker_on_the_pool_thunk(self):
+        # Name-wise resolution cannot follow body(...) into the phase's
+        # lambda: the marked thunk certifies nothing the workers run.
+        self.write("src/core/pool.cpp", self.POOL_TEMPLATE.format(
+            thunk_marker="// parallel-entry", body_marker=""))
+        analyzer = run_analyze(self.root, ("Engine::run_block",))
+        self.assertEqual(rules_in(analyzer),
+                         {("worker-coverage", "src/core/pool.cpp")})
+        message = analyzer.violations[0][3]
+        self.assertIn("m::Engine::run_block", message)
+
+    def test_worker_coverage_passes_with_marked_worker_bodies(self):
+        self.write("src/core/pool.cpp", self.POOL_TEMPLATE.format(
+            thunk_marker="", body_marker="// parallel-entry"))
+        self.assertEqual(
+            run_analyze(self.root, ("Engine::run_block",)).violations, [])
+
+    def test_worker_coverage_flags_an_undefined_worker_function(self):
+        # A renamed worker function must update the list, not drop out.
+        self.write("src/core/pool.cpp", self.POOL_TEMPLATE.format(
+            thunk_marker="", body_marker="// parallel-entry"))
+        analyzer = run_analyze(self.root,
+                               ("Engine::run_block", "Engine::step"))
+        self.assertEqual(rules_in(analyzer),
+                         {("worker-coverage", "tools/analyze.py")})
+        self.assertIn("Engine::step", analyzer.violations[0][3])
+
+    def test_worker_coverage_defaults_to_the_real_worker_functions(self):
+        # The ctest and CI run the analyzer with the default list.
+        self.write("src/core/clean.cpp",
+                   "namespace m {\nint add(int a, int b) { return a + b; }\n"
+                   "}  // namespace m\n")
+        analyzer = analyze.Analyzer(self.root)
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(analyzer.run(), 1)
+        missing = sorted(m for _, _, rule, m in analyzer.violations
+                         if rule == "worker-coverage")
+        self.assertEqual(len(missing), len(analyze.WORKER_FUNCTIONS))
+        self.assertIn("find_worst_case_point", analyze.WORKER_FUNCTIONS)
 
     # -- artifacts ----------------------------------------------------------
 
