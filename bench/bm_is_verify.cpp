@@ -9,12 +9,18 @@
 //     mean-shift estimates)
 // -- and compares the achieved 95% yield-interval half-widths against
 // the model evaluations spent.  Acceptance: IS reaches a half-width at
-// least as tight with >= 5x fewer evaluations.
+// least as tight with >= 5x fewer evaluations.  Each half also reports
+// its wall seconds and the transient solves it ran (obs tran.solves; 0
+// in a MAYO_OBS=OFF build): both verifiers run at each corner only the
+// testbenches that corner's specs read, and the slew transient is most
+// of an evaluation's time.
 //
 // Flags:
 //   --smoke        tiny budgets at the initial design (CI crash check)
 //   --json PATH    write the comparison as a JSON document at PATH (exit 2
 //                  when PATH cannot be opened)
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,20 +32,40 @@
 #include "core/linearization.hpp"
 #include "core/optimizer.hpp"
 #include "core/verification.hpp"
+#include "obs/obs.hpp"
 
 using namespace mayo;
 
 namespace {
 
+/// Wall seconds and transient solves of one verification half.
+struct Cost {
+  double wall_s = 0.0;
+  std::uint64_t tran_solves = 0;
+};
+
+/// Runs `body` and returns what it cost.
+template <class Body>
+Cost measure_cost(Body&& body) {
+  const std::uint64_t solves = obs::registry().counters.tran_solves.value();
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
+  return {wall.count(), obs::registry().counters.tran_solves.value() - solves};
+}
+
 struct Comparison {
   double mc_yield = 0.0;
   double mc_half_width = 0.0;
   std::size_t mc_evaluations = 0;
+  Cost mc_cost;
   double is_yield = 0.0;
   double is_half_width = 0.0;
   std::size_t is_evaluations = 0;
   std::size_t is_rounds = 0;
   std::size_t ess_fallbacks = 0;
+  Cost is_cost;
 };
 
 Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
@@ -50,8 +76,11 @@ Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
 
   core::VerificationOptions mc_options;
   mc_options.num_samples = mc_samples;
-  const core::VerificationResult mc =
-      core::monte_carlo_verify(ev, d, linearized.operating.theta_wc, mc_options);
+  core::VerificationResult mc;
+  out.mc_cost = measure_cost([&] {
+    mc = core::monte_carlo_verify(ev, d, linearized.operating.theta_wc,
+                                  mc_options);
+  });
   out.mc_yield = mc.yield;
   out.mc_half_width = 0.5 * (mc.confidence.upper - mc.confidence.lower);
   out.mc_evaluations = mc.evaluations;
@@ -65,8 +94,11 @@ Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
   is_options.initial_samples = is_initial;
   is_options.round_samples = is_round;
   is_options.max_rounds = is_rounds;
-  const core::IsVerificationResult is = core::importance_sample_verify(
-      ev, d, linearized.operating.theta_wc, s_wc, is_options);
+  core::IsVerificationResult is;
+  out.is_cost = measure_cost([&] {
+    is = core::importance_sample_verify(ev, d, linearized.operating.theta_wc,
+                                        s_wc, is_options);
+  });
   out.is_yield = is.yield;
   out.is_half_width = 0.5 * (is.confidence.upper - is.confidence.lower);
   out.is_evaluations = is.evaluations;
@@ -78,13 +110,16 @@ Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
 
 void print_comparison(const char* label, const Comparison& c) {
   std::printf("\n%s\n", label);
-  std::printf("  plain MC : yield %s  CI half-width %.5f  evaluations %zu\n",
+  std::printf("  plain MC : yield %s  CI half-width %.5f  evaluations %zu"
+              "  (%.2f s, %llu transients)\n",
               core::fmt_percent(c.mc_yield, 2).c_str(), c.mc_half_width,
-              c.mc_evaluations);
+              c.mc_evaluations, c.mc_cost.wall_s,
+              static_cast<unsigned long long>(c.mc_cost.tran_solves));
   std::printf("  IS       : yield %s  CI half-width %.5f  evaluations %zu"
-              "  (rounds %zu, fallbacks %zu)\n",
+              "  (rounds %zu, fallbacks %zu; %.2f s, %llu transients)\n",
               core::fmt_percent(c.is_yield, 2).c_str(), c.is_half_width,
-              c.is_evaluations, c.is_rounds, c.ess_fallbacks);
+              c.is_evaluations, c.is_rounds, c.ess_fallbacks, c.is_cost.wall_s,
+              static_cast<unsigned long long>(c.is_cost.tran_solves));
   const double eval_ratio =
       c.is_evaluations > 0
           ? static_cast<double>(c.mc_evaluations) /
@@ -108,15 +143,21 @@ bool write_json(const char* path, const Comparison& c) {
   std::fprintf(f, "  \"benchmark\": \"bm_is_verify (bench/bm_is_verify.cpp)\",\n");
   std::fprintf(f,
                "  \"description\": \"Plain-MC vs mean-shift importance-sampled "
-               "yield verification at the optimized folded-cascode design\",\n");
+               "yield verification at the optimized folded-cascode design; "
+               "wall_s and tran_solves (obs tran.solves) give each half's "
+               "cost\",\n");
   std::fprintf(f, "  \"results\": {\n");
   std::fprintf(f, "    \"mc\": {\"yield\": %.6f, \"ci_half_width\": %.6f, "
-               "\"evaluations\": %zu},\n",
-               c.mc_yield, c.mc_half_width, c.mc_evaluations);
+               "\"evaluations\": %zu, \"wall_s\": %.3f, "
+               "\"tran_solves\": %llu},\n",
+               c.mc_yield, c.mc_half_width, c.mc_evaluations, c.mc_cost.wall_s,
+               static_cast<unsigned long long>(c.mc_cost.tran_solves));
   std::fprintf(f, "    \"is\": {\"yield\": %.6f, \"ci_half_width\": %.6f, "
-               "\"evaluations\": %zu, \"rounds\": %zu, \"ess_fallbacks\": %zu},\n",
+               "\"evaluations\": %zu, \"rounds\": %zu, \"ess_fallbacks\": %zu, "
+               "\"wall_s\": %.3f, \"tran_solves\": %llu},\n",
                c.is_yield, c.is_half_width, c.is_evaluations, c.is_rounds,
-               c.ess_fallbacks);
+               c.ess_fallbacks, c.is_cost.wall_s,
+               static_cast<unsigned long long>(c.is_cost.tran_solves));
   std::fprintf(f, "    \"evaluations_ratio\": %.2f\n", eval_ratio);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");

@@ -291,10 +291,17 @@ linalg::PerfVec OpampModel::evaluate_analyses(
   return out;
 }
 
-void OpampModel::evaluate_batch(const linalg::DesignVec& d_tagged,
-                                linalg::StatPhysBlock s_tagged,
-                                const linalg::OperatingVec& theta_tagged,
-                                linalg::PerfBlockView out_tagged) {
+void OpampModel::evaluate_batch(const linalg::DesignVec& d,
+                                linalg::StatPhysBlock s_block,
+                                const linalg::OperatingVec& theta,
+                                linalg::PerfBlockView out) {
+  evaluate_batch_analyses(d, s_block, theta, kAllAnalyses, out);
+}
+
+void OpampModel::evaluate_batch_analyses(
+    const linalg::DesignVec& d_tagged, linalg::StatPhysBlock s_tagged,
+    const linalg::OperatingVec& theta_tagged, core::AnalysisMask analyses,
+    linalg::PerfBlockView out_tagged) {
   // Unwrap once at the model boundary; internals are untyped.
   const Vector& d = d_tagged.raw();                // space-ok: model boundary
   const Vector& theta = theta_tagged.raw();        // space-ok: model boundary
@@ -302,17 +309,18 @@ void OpampModel::evaluate_batch(const linalg::DesignVec& d_tagged,
   linalg::MatrixView out = out_tagged.raw();         // space-ok: model boundary
   if (out.rows() != s_block.rows() || out.cols() != num_performances())
     throw std::invalid_argument(
-        "OpampModel::evaluate_batch: out shape mismatch");
-  // Hoist the nominal solves (bias point, ft bracket, slew trajectory) out
-  // of the sample loop; every row then runs the same per-sample code as
-  // evaluate(), so the results are bitwise-identical to the scalar path.
-  DesignContext& ctx = prepared_context(d, theta, kAllAnalyses);
+        "OpampModel::evaluate_batch_analyses: out shape mismatch");
+  // Hoist the nominal solves the requested benches seed from (bias point,
+  // ft bracket, slew trajectory) out of the sample loop; every row then
+  // runs the same per-sample code as evaluate_analyses(), so the results
+  // are bitwise-identical to the scalar path.
+  DesignContext& ctx = prepared_context(d, theta, analyses);
   if (batch_s_.size() != s_block.cols()) batch_s_ = Vector(s_block.cols());
   for (std::size_t j = 0; j < s_block.rows(); ++j) {
     const double* row = s_block.row(j);
     for (std::size_t i = 0; i < batch_s_.size(); ++i) batch_s_[i] = row[i];
     Measurements m;
-    measure_with_context(ctx, d, batch_s_, theta, kAllAnalyses, m);
+    measure_with_context(ctx, d, batch_s_, theta, analyses, m);
     pack_performances(m, out.row(j));
   }
 }

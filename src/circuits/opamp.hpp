@@ -70,13 +70,20 @@ class OpampModel : public core::PerformanceModel {
                                     const linalg::StatPhysVec& s,
                                     const linalg::OperatingVec& theta,
                                     core::AnalysisMask analyses) override;
-  /// Native batch path: the per-(d, theta) nominal solves (bias point, ft
-  /// bracket, slew trajectory) are built once and every sample row reuses
-  /// them as warm starts.  Row results are bitwise-identical to evaluate()
-  /// because both run the same per-sample code against the same context.
+  /// evaluate_batch_analyses() with both benches.
   void evaluate_batch(const linalg::DesignVec& d, linalg::StatPhysBlock s_block,
                       const linalg::OperatingVec& theta,
                       linalg::PerfBlockView out) override;
+  /// Native batch path: the per-(d, theta) nominal solves the requested
+  /// benches seed from (bias point, ft bracket, slew trajectory) are built
+  /// once and every sample row reuses them as warm starts.  Row results
+  /// are bitwise-identical to evaluate_analyses() because both run the
+  /// same per-sample code against the same context.
+  void evaluate_batch_analyses(const linalg::DesignVec& d,
+                               linalg::StatPhysBlock s_block,
+                               const linalg::OperatingVec& theta,
+                               core::AnalysisMask analyses,
+                               linalg::PerfBlockView out) override;
   /// saturation_margins() of the design.
   linalg::Vector constraints(const linalg::DesignVec& d) override;
 

@@ -132,9 +132,14 @@ PerfVec Evaluator::performances(const DesignVec& d, const StatUnitVec& s_hat,
 void Evaluator::performances_batch(const DesignVec& d,
                                    linalg::StatUnitBlock s_hat_block,
                                    const OperatingVec& theta,
+                                   AnalysisMask analyses,
                                    linalg::PerfBlockView out, EvalWorkspace& ws,
                                    Budget budget) {
   validate_point(d, theta, s_hat_block.cols());
+  if (analyses == 0 || (analyses & ~all_analyses_) != 0)
+    throw std::invalid_argument(
+        "Evaluator::performances_batch: analysis mask empty or not the "
+        "model's");
   MAYO_CHECK_DIM(out.rows(), s_hat_block.rows(),
                  "Evaluator::performances_batch: out rows");
   MAYO_CHECK_DIM(out.cols(), num_specs(),
@@ -161,12 +166,13 @@ void Evaluator::performances_batch(const DesignVec& d,
     ProbeCache::append_bits(ws.key, theta.raw());
     if (CachedRow* hit = cache_.find(ws.key)) {
       ++counts_.cache_hits;
-      if (hit->analyses != all_analyses_) {
-        // A row a single-spec probe left partial: run only what it lacks.
+      const AnalysisMask missing = analyses & ~hit->analyses;
+      if (missing != 0) {
+        // A row an earlier request left partial: run only what it lacks.
         const double* src = s_hat_block.row(j);
         StatUnitVec s_hat(n_s);  // hot-ok: cold completion of a partial row
         for (std::size_t i = 0; i < n_s; ++i) s_hat[i] = src[i];
-        complete_row(*hit, d, s_hat, theta, all_analyses_ & ~hit->analyses);
+        complete_row(*hit, d, s_hat, theta, missing);
       }
       double* out_row = out.row(j);
       for (std::size_t i = 0; i < n_f; ++i) out_row[i] = hit->values[i];
@@ -214,19 +220,26 @@ void Evaluator::performances_batch(const DesignVec& d,
     // s = G(d) s_hat + s0, sigmas hoisted once per block (eq. 11).
     problem_.statistical.to_physical_block(s_hat_view, d, physical_view,
                                            ws.sigma);
-    problem_.model->evaluate_batch(d, physical_view, theta, values_view);
+    problem_.model->evaluate_batch_analyses(d, physical_view, theta,
+                                            analyses, values_view);
 
-    obs::registry().counters.eval_analyses.add(
-        misses * static_cast<std::uint64_t>(std::popcount(all_analyses_)));
+    obs::Counters& tallies = obs::registry().counters;
+    tallies.eval_analyses.add(
+        misses * static_cast<std::uint64_t>(std::popcount(analyses)));
+    tallies.eval_analyses_skipped.add(
+        misses *
+        static_cast<std::uint64_t>(std::popcount(all_analyses_ & ~analyses)));
     for (std::size_t m = 0; m < misses; ++m) {
-      const double* row = ws.values.row(m);
+      double* row = ws.values.row(m);
+      for (std::size_t i = 0; i < n_f; ++i)
+        if ((spec_analysis_[i] & analyses) == 0) row[i] = 0.0;
       MAYO_CHECK_FINITE((std::span<const double>(row, n_f)),
                         "Evaluator: model performance values");
       charge(budget);
       Vector stored(n_f);  // hot-ok: ownership moves into the cache
       for (std::size_t i = 0; i < n_f; ++i) stored[i] = row[i];
       cache_.insert(std::move(ws.miss_keys[m]),
-                    CachedRow{std::move(stored), all_analyses_});
+                    CachedRow{std::move(stored), analyses});
     }
   }
 

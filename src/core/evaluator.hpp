@@ -14,21 +14,24 @@
 //     verification budgets (paper Table 7).
 //
 // Batch path: performances_batch / margins_batch evaluate a whole block of
-// s_hat rows through one PerformanceModel::evaluate_batch call, applying
-// the covariance transform block-wise and reusing caller-owned workspace so
-// the hot path performs no per-sample heap allocation.  Cache and counter
-// semantics are identical to the scalar loop: every row is probed against
-// the cache, duplicate rows within a block count as cache hits and are
-// simulated once, and every distinct miss is charged to the given budget.
+// s_hat rows through one PerformanceModel::evaluate_batch_analyses call,
+// applying the covariance transform block-wise and reusing caller-owned
+// workspace so the hot path performs no per-sample heap allocation.  Cache
+// and counter semantics are identical to the scalar loop: every row is
+// probed against the cache, duplicate rows within a block count as cache
+// hits and are simulated once, and every distinct miss is charged to the
+// given budget.
 //
 // Analysis-aware evaluation: a model may split its performances over
 // several analyses (PerformanceModel::analysis_of, e.g. an AC and a
 // transient testbench).  Every cached row carries the mask of analyses it
 // holds.  margin(spec), the per-spec gradients and every caller that reads
-// one spec request only that spec's analysis; performances(), margins()
-// and the batch paths request all of them.  A cached row missing some
-// requested analyses is completed in place: only the missing analyses
-// run, the row keeps its FIFO slot, and the probe counts as a cache hit.
+// one spec request only that spec's analysis; a performances_batch call
+// requests the mask its caller passes (the verifiers pass the analyses of
+// the specs they read); performances(), margins() and margins_batch
+// request all of them.  A cached row missing some requested analyses is
+// completed in place: only the missing analyses run, the row keeps its
+// FIFO slot, and the probe counts as a cache hit.
 // EvaluationCounts therefore keep their meaning -- distinct (d, s_hat,
 // theta) points simulated -- whatever the mix of requests.  A model with
 // the default single analysis sees exactly the historical call sequence.
@@ -134,6 +137,21 @@ class Evaluator {
                           linalg::StatUnitBlock s_hat_block,
                           const linalg::OperatingVec& theta,
                           linalg::PerfBlockView out, EvalWorkspace& ws,
+                          Budget budget = Budget::kOptimization) {
+    performances_batch(d, s_hat_block, theta, all_analyses_, out, ws, budget);
+  }
+
+  /// performances_batch() for the analyses in `analyses` only: the entries
+  /// of the specs they measure are exact, the others are unspecified.
+  /// Misses run and cache only the requested analyses, and a cached row
+  /// lacking some of them is completed in place as a cache hit, as on the
+  /// scalar path.  Throws std::invalid_argument on an empty mask or one
+  /// naming an analysis no spec reads.
+  void performances_batch(const linalg::DesignVec& d,
+                          linalg::StatUnitBlock s_hat_block,
+                          const linalg::OperatingVec& theta,
+                          AnalysisMask analyses, linalg::PerfBlockView out,
+                          EvalWorkspace& ws,
                           Budget budget = Budget::kOptimization);
 
   /// Batch form of margins(): performances_batch followed by the in-place
@@ -176,6 +194,11 @@ class Evaluator {
   /// Jacobian of the constraints w.r.t. d (forward differences).
   linalg::Matrixd constraint_jacobian(const linalg::DesignVec& d,
                                       double step_fraction = 1e-3);
+
+  /// Analysis that measures spec `spec`, as a mask (one bit).
+  AnalysisMask spec_analyses(std::size_t spec) const {
+    return spec_analysis_.at(spec);
+  }
 
   /// Zero vector in s_hat space (the nominal statistical point).  With the
   /// sampler, one of the two places allowed to mint StatUnit values.

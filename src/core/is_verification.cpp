@@ -142,9 +142,10 @@ void IsBlockEvaluator::run_block(const DesignVec& d, std::size_t spec,
     values_ = Matrixd(count, num_specs);  // hot-ok: grow-only, reused
   const linalg::StatUnitBlock block = sampler.samples().block(first, count);
   // One batch call at the spec's own worst-case corner (the per-spec
-  // face of the corner-grouped path of detail::BlockVerifier).
+  // face of the corner-grouped path of detail::BlockVerifier), running
+  // only the analysis that measures the spec.
   evaluator_.performances_batch(
-      d, block, theta,
+      d, block, theta, evaluator_.spec_analyses(spec),
       linalg::PerfBlockView(MatrixView(values_).middle_rows(0, count)), ws_,
       Budget::kVerification);
   const Specification& spec_def = evaluator_.problem().specs[spec];

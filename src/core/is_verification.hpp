@@ -172,7 +172,8 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
 
 /// Block-evaluation engine of the IS verifier: evaluates shifted-sample
 /// blocks through the Evaluator batch path (the corner-grouped spine of
-/// verification.hpp, one corner per spec) and folds (fail, weight) pairs
+/// verification.hpp, one corner per spec, running only the spec's
+/// analysis) and folds (fail, weight) pairs
 /// into an IsAccumulator in ascending sample order.  Not thread-safe;
 /// each worker owns one engine per round.
 class IsBlockEvaluator {

@@ -170,6 +170,20 @@ class PerformanceModel {
                               const linalg::OperatingVec& theta,
                               linalg::PerfBlockView out);
 
+  /// Batch form of evaluate_analyses(): runs only the analyses in
+  /// `analyses` for every row.  Requested entries of row j are
+  /// bitwise-identical to evaluate(d, s_block.row(j), theta); the other
+  /// entries are unspecified and never read.  The default runs the full
+  /// evaluate_batch().
+  virtual void evaluate_batch_analyses(const linalg::DesignVec& d,
+                                       linalg::StatPhysBlock s_block,
+                                       const linalg::OperatingVec& theta,
+                                       AnalysisMask analyses,
+                                       linalg::PerfBlockView out) {
+    (void)analyses;
+    evaluate_batch(d, s_block, theta, out);
+  }
+
   /// Evaluates the functional constraints c(d) >= 0 at nominal statistics
   /// and nominal operating conditions (technology sizing rules, Sec. 5.1).
   /// Constraint values are their own (untagged) quantity.

@@ -27,6 +27,11 @@ BlockVerifier::BlockVerifier(Evaluator& evaluator,
   for (std::size_t g = 0; g < grouping.distinct.size(); ++g)
     corner_values_.emplace_back(std::max<std::size_t>(block_size, 1),
                                 num_specs);
+  // A corner runs only the analyses its own specs read: at a corner that
+  // no slew-rate spec names, the transient bench never runs.
+  corner_analyses_.assign(grouping.distinct.size(), 0);
+  for (std::size_t i = 0; i < num_specs; ++i)
+    corner_analyses_[grouping.group_of_spec[i]] |= evaluator.spec_analyses(i);
   fails_per_spec_.assign(num_specs, 0);
   perf_stats_.resize(num_specs);
 }
@@ -45,7 +50,7 @@ void BlockVerifier::run_block(const DesignVec& d,
     if (values.rows() < count)
       values = Matrixd(count, num_specs);  // hot-ok: grow-only, reused
     evaluator_.performances_batch(
-        d, block, grouping_.distinct[g],
+        d, block, grouping_.distinct[g], corner_analyses_[g],
         linalg::PerfBlockView(MatrixView(values).middle_rows(0, count)), ws_,
         Budget::kVerification);
   }

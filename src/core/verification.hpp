@@ -69,7 +69,8 @@ VerificationResult monte_carlo_verify(
 namespace detail {
 
 /// Block-evaluation engine of the verifier: evaluates sample blocks
-/// corner-major through the Evaluator batch path and folds per-sample
+/// corner-major through the Evaluator batch path, each corner for the
+/// analyses of its own specs only, and folds per-sample
 /// pass/fail decisions and performance statistics into its accumulators
 /// in ascending sample order.  Every worker runs the exact same code per
 /// sample, so decisions are identical for any thread count by
@@ -103,6 +104,8 @@ class BlockVerifier {
   EvalWorkspace ws_;
   /// Per-corner performance values of the current block (row = sample).
   std::vector<linalg::Matrixd> corner_values_;
+  /// Per-corner union of the analyses its specs read.
+  std::vector<AnalysisMask> corner_analyses_;
   std::size_t passing_ = 0;
   std::vector<std::size_t> fails_per_spec_;
   std::vector<stats::RunningStats> perf_stats_;

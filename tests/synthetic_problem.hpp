@@ -19,7 +19,8 @@
 // SyntheticModel computes both performances in one analysis (the
 // PerformanceModel default); SplitSyntheticModel computes the same values
 // in two analyses, f0 in analysis 0 and f1 in analysis 1, and counts the
-// runs of each -- the fixture of the Evaluator's analysis-aware path.
+// runs of each, scalar and batch -- the fixture of the Evaluator's
+// analysis-aware path.
 // FaultySyntheticModel throws at every point beyond a chosen radius in s,
 // the fixture of failures inside the worker fan-outs.
 //
@@ -110,6 +111,24 @@ class SplitSyntheticModel final : public core::PerformanceModel {
     return f;
   }
 
+  /// Row by row through evaluate_analyses(), so batch rows count in
+  /// `runs` too.  Entries of analyses not requested read kUnrequested.
+  void evaluate_batch_analyses(const linalg::DesignVec& d,
+                               linalg::StatPhysBlock s_block,
+                               const linalg::OperatingVec& theta,
+                               core::AnalysisMask analyses,
+                               linalg::PerfBlockView out) override {
+    ++batch_calls;
+    linalg::StatPhysVec s(s_block.cols());
+    for (std::size_t j = 0; j < s_block.rows(); ++j) {
+      for (std::size_t i = 0; i < s.size(); ++i) s[i] = s_block.row(j)[i];
+      const linalg::PerfVec f = evaluate_analyses(d, s, theta, analyses);
+      for (std::size_t i = 0; i < f.size(); ++i)
+        out.row(j)[i] =
+            (analyses & core::analysis_bit(i)) != 0 ? f[i] : kUnrequested;
+    }
+  }
+
   linalg::Vector constraints(const linalg::DesignVec& d) override {
     return SyntheticModel::constraint_values(d);
   }
@@ -118,7 +137,11 @@ class SplitSyntheticModel final : public core::PerformanceModel {
     return std::make_unique<SplitSyntheticModel>();
   }
 
+  /// What a batch writes into the entries of analyses it did not run.
+  static constexpr double kUnrequested = 1e9;
+
   std::array<int, 2> runs{};  ///< runs of analysis 0 and analysis 1
+  int batch_calls = 0;        ///< evaluate_batch_analyses calls
 };
 
 /// SyntheticModel that throws std::runtime_error at every point with

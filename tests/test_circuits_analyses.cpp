@@ -3,16 +3,25 @@
 // bitwise the entries the full evaluate() gives -- whatever ran before
 // (the other analysis first, or nothing) and whether or not the design
 // context that seeds it was evicted in between.  The Evaluator's partial
-// cache rows rely on exactly this.
+// cache rows rely on exactly this.  The verifiers built on it -- plain MC
+// and importance sampling, which request only the analyses their specs
+// read -- report exactly what they report through a wrapper that hides the
+// split.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuits/folded_cascode.hpp"
 #include "circuits/miller.hpp"
 #include "core/evaluator.hpp"
+#include "core/is_verification.hpp"
+#include "core/verification.hpp"
+#include "obs/obs.hpp"
 
 namespace mayo::circuits {
 namespace {
@@ -198,6 +207,167 @@ TYPED_TEST(AnalysisSplit, FailedSlewBenchPenalizesOnlySlewRate) {
   EXPECT_GT(row[0], 0.0);  // A0 measured, not the failure penalty
   EXPECT_EQ(completed.counts().optimization, 1u);
   EXPECT_EQ(completed.counts().cache_hits, 1u);
+}
+
+// -- verification through the split -----------------------------------------
+
+/// Forwards the mandatory PerformanceModel virtuals only, as a timing
+/// decorator does: the wrapped model presents the default single
+/// analysis, so every request through it runs both benches.
+class OneAnalysisView final : public core::PerformanceModel {
+ public:
+  explicit OneAnalysisView(std::unique_ptr<core::PerformanceModel> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t num_performances() const override {
+    return inner_->num_performances();
+  }
+  std::size_t num_constraints() const override {
+    return inner_->num_constraints();
+  }
+  std::vector<std::string> constraint_names() const override {
+    return inner_->constraint_names();
+  }
+  PerfVec evaluate(const DesignVec& d, const StatPhysVec& s,
+                   const OperatingVec& theta) override {
+    return inner_->evaluate(d, s, theta);
+  }
+  void evaluate_batch(const DesignVec& d, linalg::StatPhysBlock s_block,
+                      const OperatingVec& theta,
+                      linalg::PerfBlockView out) override {
+    inner_->evaluate_batch(d, s_block, theta, out);
+  }
+  linalg::Vector constraints(const DesignVec& d) override {
+    return inner_->constraints(d);
+  }
+  std::unique_ptr<core::PerformanceModel> clone() const override {
+    return std::make_unique<OneAnalysisView>(inner_->clone());
+  }
+
+ private:
+  std::unique_ptr<core::PerformanceModel> inner_;
+};
+
+/// The folded cascode optimized at Table-7 options, seed 42 (the design
+/// the benchmark's verification workload pins).
+DesignVec optimized_fc_design() {
+  return DesignVec{7.9969771444780079e-05, 2.6006396264899676e-05,
+                   3.8154545795207499e-05, 1.9622502321068214e-05,
+                   1.9101235641826773e-05, 4.0000000000000003e-05,
+                   5.0000000000000002e-05};
+}
+
+class MaskedVerification : public ::testing::Test {
+ protected:
+  MaskedVerification()
+      : split(FoldedCascode::make_problem()),
+        view(FoldedCascode::make_problem()),
+        d(optimized_fc_design()) {
+    view.model = std::make_shared<OneAnalysisView>(
+        std::make_unique<FoldedCascode>());
+    // The worst-case corners at this design: A0, ft and SR+ at (hot, low
+    // vdd), CMRR at (cold, high vdd), power at (hot, high vdd).  Only the
+    // first corner reads the slew bench.
+    const linalg::Vector& lo = split.operating.lower;
+    const linalg::Vector& hi = split.operating.upper;
+    const OperatingVec hot_low{hi[0], lo[1]};
+    theta_wc = {hot_low, hot_low, OperatingVec{lo[0], hi[1]}, hot_low,
+                OperatingVec{hi[0], hi[1]}};
+    // IS shifts of norm 2 along one statistical axis per spec.
+    for (std::size_t i = 0; i < split.num_specs(); ++i) {
+      StatUnitVec mu(split.statistical.dimension());
+      mu[i] = i % 2 == 0 ? 2.0 : -2.0;
+      s_wc.push_back(mu);
+    }
+  }
+
+  static std::uint64_t tran_solves() {
+    return obs::registry().counters.tran_solves.value();
+  }
+
+  core::YieldProblem split;  ///< FoldedCascode as is: two analyses
+  core::YieldProblem view;   ///< the same behind OneAnalysisView
+  DesignVec d;
+  std::vector<OperatingVec> theta_wc;
+  std::vector<StatUnitVec> s_wc;
+};
+
+TEST_F(MaskedVerification, MonteCarloMatchesTheOneAnalysisView) {
+  ASSERT_EQ(split.specs[3].name, "SRp");
+  for (const unsigned threads : {1U, 2U}) {
+    core::VerificationOptions options;
+    options.num_samples = 48;
+    options.block_size = 16;
+    options.threads = threads;
+    core::Evaluator split_ev(split);
+    core::Evaluator view_ev(view);
+    const std::uint64_t before = tran_solves();
+    const core::VerificationResult masked =
+        core::monte_carlo_verify(split_ev, d, theta_wc, options);
+    const std::uint64_t middle = tran_solves();
+    const core::VerificationResult full =
+        core::monte_carlo_verify(view_ev, d, theta_wc, options);
+    const std::uint64_t after = tran_solves();
+
+    EXPECT_EQ(masked.yield, full.yield) << threads;
+    EXPECT_EQ(masked.confidence.lower, full.confidence.lower) << threads;
+    EXPECT_EQ(masked.confidence.upper, full.confidence.upper) << threads;
+    EXPECT_EQ(masked.fails_per_spec, full.fails_per_spec) << threads;
+    EXPECT_EQ(masked.performance_mean, full.performance_mean) << threads;
+    EXPECT_EQ(masked.performance_stddev, full.performance_stddev) << threads;
+    EXPECT_EQ(masked.evaluations, full.evaluations) << threads;
+    EXPECT_EQ(masked.evaluations, 3 * options.num_samples) << threads;
+#if MAYO_OBS_ENABLED
+    // One of three corners runs the transient (plus its nominal seed).
+    EXPECT_LT(middle - before, after - middle) << threads;
+#else
+    (void)before;
+    (void)middle;
+    (void)after;
+#endif
+  }
+}
+
+TEST_F(MaskedVerification, ImportanceSamplingMatchesTheOneAnalysisView) {
+  core::IsVerificationOptions options;
+  options.initial_samples = 16;
+  options.round_samples = 16;
+  options.max_rounds = 2;
+  options.block_size = 8;
+  core::Evaluator split_ev(split);
+  core::Evaluator view_ev(view);
+  const std::uint64_t before = tran_solves();
+  const core::IsVerificationResult masked =
+      core::importance_sample_verify(split_ev, d, theta_wc, s_wc, options);
+  const std::uint64_t middle = tran_solves();
+  const core::IsVerificationResult full =
+      core::importance_sample_verify(view_ev, d, theta_wc, s_wc, options);
+  const std::uint64_t after = tran_solves();
+
+  EXPECT_EQ(masked.yield, full.yield);
+  EXPECT_EQ(masked.confidence.lower, full.confidence.lower);
+  EXPECT_EQ(masked.confidence.upper, full.confidence.upper);
+  EXPECT_EQ(masked.evaluations, full.evaluations);
+  EXPECT_EQ(masked.rounds, full.rounds);
+  ASSERT_EQ(masked.per_spec.size(), full.per_spec.size());
+  for (std::size_t i = 0; i < masked.per_spec.size(); ++i) {
+    const core::SpecIsEstimate& a = masked.per_spec[i];
+    const core::SpecIsEstimate& b = full.per_spec[i];
+    EXPECT_EQ(a.fail_probability, b.fail_probability) << i;
+    EXPECT_EQ(a.lower, b.lower) << i;
+    EXPECT_EQ(a.upper, b.upper) << i;
+    EXPECT_EQ(a.samples, b.samples) << i;
+    EXPECT_EQ(a.fails, b.fails) << i;
+    EXPECT_EQ(a.ess, b.ess) << i;
+  }
+#if MAYO_OBS_ENABLED
+  // Only the SR+ draws run the transient.
+  EXPECT_LT(middle - before, after - middle);
+#else
+  (void)before;
+  (void)middle;
+  (void)after;
+#endif
 }
 
 }  // namespace

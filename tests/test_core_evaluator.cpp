@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "synthetic_problem.hpp"
@@ -378,6 +380,160 @@ TEST(EvaluatorAnalyses, DefaultSingleAnalysisModelKeepsHistoricalCounts) {
   EXPECT_EQ(split_counts.constraint, counts.constraint);
   EXPECT_EQ(split_counts.cache_hits, counts.cache_hits);
   EXPECT_LT(split->runs[0] + split->runs[1], 2 * model->evaluations);
+}
+
+// -- masked batches -----------------------------------------------------------
+
+/// Rows of probe points `ks` (s_hat space).
+linalg::Matrixd probe_block(std::initializer_list<double> ks) {
+  linalg::Matrixd block(ks.size(), 3);
+  std::size_t r = 0;
+  for (const double k : ks) {
+    const StatUnitVec s = probe_point(k);
+    for (std::size_t c = 0; c < 3; ++c) block(r, c) = s[c];
+    ++r;
+  }
+  return block;
+}
+
+/// performances_batch of `block` for `analyses` into a fresh matrix.
+linalg::Matrixd masked_batch(Evaluator& ev, const DesignVec& d,
+                             const linalg::Matrixd& block,
+                             const OperatingVec& theta, AnalysisMask analyses,
+                             EvalWorkspace& ws) {
+  linalg::Matrixd out(block.rows(), ev.num_specs());
+  ev.performances_batch(
+      d, linalg::StatUnitBlock(linalg::ConstMatrixView(block)), theta,
+      analyses, linalg::PerfBlockView(linalg::MatrixView(out)), ws,
+      Budget::kVerification);
+  return out;
+}
+
+TEST(EvaluatorAnalyses, MaskedBatchRunsOnlyTheMaskedAnalysisPerMiss) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  auto reference_problem = testing::make_synthetic_problem();
+  Evaluator reference(reference_problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.5};
+  EXPECT_EQ(ev.spec_analyses(0), analysis_bit(0));
+  EXPECT_EQ(ev.spec_analyses(1), analysis_bit(1));
+  std::vector<linalg::PerfVec> expected;
+  for (const double k : {1.0, 2.0, 3.0})
+    expected.push_back(reference.performances(d, probe_point(k), theta));
+  const AnalysisTally before;
+
+  EvalWorkspace ws;
+  const linalg::Matrixd out =
+      masked_batch(ev, d, probe_block({1.0, 2.0, 3.0}), theta,
+                   analysis_bit(1), ws);
+  const AnalysisTally after;
+  EXPECT_EQ(model->batch_calls, 1);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{0, 3}));
+  EXPECT_EQ(ev.counts().verification, 3u);
+  EXPECT_EQ(ev.counts().cache_hits, 0u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(out(r, 1), expected[r][1]) << "row " << r;
+    EXPECT_EQ(out(r, 0), 0.0) << "row " << r;  // not kUnrequested
+  }
+
+#if MAYO_OBS_ENABLED
+  EXPECT_EQ(after.run - before.run, 3u);
+  EXPECT_EQ(after.skipped - before.skipped, 3u);  // analysis 0 per miss
+#endif
+}
+
+TEST(EvaluatorAnalyses, FullRequestsCompleteMaskedBatchRowsAsHits) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  auto reference_problem = testing::make_synthetic_problem();
+  Evaluator reference(reference_problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{-0.5};
+  std::vector<linalg::PerfVec> expected;
+  for (const double k : {1.0, 2.0, 3.0})
+    expected.push_back(reference.performances(d, probe_point(k), theta));
+  EvalWorkspace ws;
+  masked_batch(ev, d, probe_block({1.0, 2.0}), theta, analysis_bit(0), ws);
+  const AnalysisTally before;
+
+  // A full margins_batch runs analysis 1 for both rows and nothing else.
+  const linalg::Matrixd block = probe_block({1.0, 2.0});
+  linalg::Matrixd margins(2, 2);
+  ev.margins_batch(d, linalg::StatUnitBlock(linalg::ConstMatrixView(block)),
+                   theta, linalg::MarginBlockView(linalg::MatrixView(margins)),
+                   ws);
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_EQ(margins(r, i), problem.specs[i].margin(expected[r][i]))
+          << "row " << r << " spec " << i;
+  EXPECT_EQ(model->runs, (std::array<int, 2>{2, 2}));
+  EXPECT_EQ(ev.counts().verification, 2u);
+  EXPECT_EQ(ev.counts().optimization, 0u);
+  EXPECT_EQ(ev.counts().cache_hits, 2u);
+
+  // The rows are complete now: a scalar full request is a plain hit.
+  EXPECT_EQ(ev.performances(d, probe_point(2.0), theta), expected[1]);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{2, 2}));
+  EXPECT_EQ(ev.counts().cache_hits, 3u);
+
+  // A masked batch completes a row a scalar single-spec probe left
+  // partial, again as a hit.
+  ev.margin(1, d, probe_point(3.0), theta, Budget::kVerification);
+  const linalg::Matrixd out =
+      masked_batch(ev, d, probe_block({3.0}), theta, analysis_bit(0), ws);
+  const AnalysisTally after;
+  EXPECT_EQ(out(0, 0), expected[2][0]);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{3, 3}));
+  EXPECT_EQ(ev.counts().verification, 3u);
+  EXPECT_EQ(ev.counts().cache_hits, 4u);
+
+#if MAYO_OBS_ENABLED
+  // Completions run only what is missing and skip nothing new; the one
+  // new point (probe 3) skipped analysis 0 at first.
+  EXPECT_EQ(after.run - before.run, 4u);
+  EXPECT_EQ(after.skipped - before.skipped, 1u);
+#endif
+}
+
+TEST(EvaluatorAnalyses, DuplicateRowInAMaskedBlockIsSimulatedOnce) {
+  auto problem = testing::make_split_synthetic_problem();
+  auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
+  Evaluator ev(problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  EvalWorkspace ws;
+  const linalg::Matrixd out = masked_batch(
+      ev, d, probe_block({1.0, 2.0, 1.0}), theta, analysis_bit(0), ws);
+  EXPECT_EQ(model->runs, (std::array<int, 2>{2, 0}));
+  EXPECT_EQ(ev.counts().verification, 2u);
+  EXPECT_EQ(ev.counts().cache_hits, 1u);
+  EXPECT_EQ(out(2, 0), out(0, 0));
+  EXPECT_EQ(out(2, 1), 0.0);
+}
+
+TEST(EvaluatorAnalyses, MaskedBatchRejectsAnEmptyOrForeignMask) {
+  auto problem = testing::make_split_synthetic_problem();
+  Evaluator ev(problem);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  EvalWorkspace ws;
+  const linalg::Matrixd block = probe_block({1.0});
+  EXPECT_THROW(masked_batch(ev, d, block, theta, 0, ws), std::invalid_argument);
+  EXPECT_THROW(masked_batch(ev, d, block, theta, analysis_bit(2), ws),
+               std::invalid_argument);
+  EXPECT_THROW(masked_batch(ev, d, block, theta, 0b101, ws),
+               std::invalid_argument);
+  EXPECT_EQ(ev.counts().total(), 0u);
+
+  // The single-analysis model has analysis 0 only.
+  auto single_problem = testing::make_synthetic_problem();
+  Evaluator single(single_problem);
+  EXPECT_THROW(masked_batch(single, d, block, theta, analysis_bit(1), ws),
+               std::invalid_argument);
+  EXPECT_NO_THROW(masked_batch(single, d, block, theta, analysis_bit(0), ws));
 }
 
 TEST(EvaluatorAnalyses, RejectsAnAnalysisIndexBeyondTheMask) {

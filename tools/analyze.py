@@ -86,6 +86,7 @@ WORKER_FUNCTIONS = (
     "IsBlockEvaluator::run_block",
     "Evaluator::performances_batch",
     "OpampModel::evaluate_batch",
+    "OpampModel::evaluate_batch_analyses",
     "OpampModel::evaluate_analyses",
 )
 
