@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/obs.hpp"
 #include "stats/normal.hpp"
 
 namespace mayo::core {
@@ -31,9 +32,11 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
   out.s = start;
   double damping = options.damping;
   double prev_abs_margin = std::numeric_limits<double>::infinity();
+  bool on_sphere = false;  // the last step was clamped to max_radius
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++out.iterations;
+    obs::registry().counters.wc_iterations.add();
     out.margin = evaluator.margin(spec, d, out.s, theta_wc);
     out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc,
                                                options.gradient_step);
@@ -43,6 +46,12 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
     // Min-norm point of the linearized level set {s | m + g^T(s - s_k) = 0}.
     const double rhs = linalg::dot(out.gradient, out.s) - out.margin;
     StatUnitVec target = out.gradient * (rhs / g2);
+    // Out of reach: the last step was clamped onto the trust sphere, and the
+    // linearization there still puts the level set beyond it.  Walking on
+    // along the sphere would only end at the cap with beta = max_radius.
+    // The convergence test below takes precedence.
+    const bool out_of_reach =
+        on_sphere && target.norm() > options.max_radius;
     StatUnitVec step = target - out.s;
 
     // Adaptive damping: back off when the margin residual grew.
@@ -54,7 +63,8 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
 
     StatUnitVec s_new = out.s + step * damping;
     const double radius = s_new.norm();
-    if (radius > options.max_radius) s_new *= options.max_radius / radius;
+    on_sphere = radius > options.max_radius;
+    if (on_sphere) s_new *= options.max_radius / radius;
 
     const double moved = linalg::distance(s_new, out.s);
     if (std::abs(out.margin) < options.margin_tolerance * scale &&
@@ -62,10 +72,17 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
       out.converged = true;
       return out;
     }
+    if (out_of_reach) {
+      obs::registry().counters.wc_out_of_reach.add();
+      return out;
+    }
     out.s = std::move(s_new);
   }
-  // Final residual check: the last accepted iterate may be good enough.
+  // Iteration cap: re-linearize at the last accepted iterate, so the margin
+  // and gradient describe the returned point, and accept a good residual.
   out.margin = evaluator.margin(spec, d, out.s, theta_wc);
+  out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc,
+                                             options.gradient_step);
   out.converged = std::abs(out.margin) < options.margin_tolerance * scale * 10.0;
   return out;
 }
@@ -157,10 +174,7 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
   const SearchOutcome& chosen = have_best ? best : fallback;
   result.s_wc = chosen.s;
   result.margin_at_wc = chosen.margin;
-  result.gradient = chosen.gradient.empty()
-                        ? evaluator.margin_gradient_s(spec, d, chosen.s, theta_wc,
-                                                      options.gradient_step)
-                        : chosen.gradient;
+  result.gradient = chosen.gradient;
   result.converged = chosen.converged;
   const double sign = result.margin_nominal >= 0.0 ? 1.0 : -1.0;
   result.beta = sign * result.s_wc.norm();

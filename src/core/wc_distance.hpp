@@ -12,20 +12,29 @@
 // per-spec yield.
 //
 // Algorithm: sequential linearization.  At iterate s_k with margin m_k and
-// gradient g_k, the min-norm point of the linearized level set is
+// forward-difference gradient g_k (Evaluator::margin_gradient_s, n + 1
+// points), the min-norm point of the linearized level set is
 //
 //     s_{k+1} = g_k (g_k^T s_k - m_k) / (g_k^T g_k) ,
 //
-// damped and trust-clamped, iterated to |m| ~ 0.
+// damped and clamped to the trust sphere ||s|| <= max_radius.  A start
+// converges when |m_k| < margin_tolerance * scale and the step is shorter
+// than step_tolerance.  It stops, not converged, as soon as an iterate
+// whose step onto it was clamped linearizes to a level set still beyond
+// max_radius: the spec is out of reach, and walking the sphere to the
+// iteration cap would only report the same beta = +-max_radius.  A start
+// that reaches max_iterations is re-linearized at its last iterate, so the
+// returned point, margin and gradient always describe one point.
 //
 // Mismatch-type (quadratic, semidefinite-Hessian) performances such as
 // CMRR have a vanishing gradient in the mismatch directions at the matched
 // nominal point, so a gradient path started at s = 0 never leaves the
 // neutral line -- the problem treated in the paper's ref. [12].  We probe
-// the diagonal curvature of every statistical direction at s = 0 (the
-// central-difference points double as the gradient stencil) and launch
+// the diagonal curvature of every statistical direction at s = 0 (the +h
+// points double as the forward-difference stencil at s = 0) and launch
 // additional searches along directions that degrade the margin on *both*
-// sides; the minimum-norm converged solution wins.
+// sides; the minimum-norm converged solution wins, else the start with the
+// smallest |margin|.
 //
 // The mirrored worst-case point of eq. (21)-(22) is detected with one extra
 // evaluation at -s_wc: if the margin there falls significantly below the
@@ -47,7 +56,8 @@ struct WcDistanceOptions {
   double margin_tolerance = 1e-3; ///< |margin| < tol * spec.scale converges
   double step_tolerance = 1e-3;   ///< ||s_{k+1} - s_k|| convergence threshold
   double gradient_step = 5e-2;    ///< finite-difference step in s_hat
-  double max_radius = 10.0;       ///< trust clamp on ||s|| (sigma units)
+  double max_radius = 10.0;       ///< trust clamp on ||s|| (sigma units);
+                                  ///< level sets beyond it are out of reach
   double damping = 1.0;           ///< initial step damping (halved on overshoot)
   bool curvature_starts = true;   ///< launch extra searches along quadratic axes
   double curvature_threshold = 0.05; ///< |c_i| * scale threshold for a start
@@ -65,7 +75,8 @@ struct WorstCasePoint {
   bool converged = false;
   bool mirrored = false;    ///< quadratic behaviour detected (eq. 21)
   double margin_at_mirror = 0.0;  ///< margin at -s_wc
-  int iterations = 0;       ///< sequential-linearization iterations used
+  int iterations = 0;       ///< sequential-linearization iterations used,
+                            ///< summed over all starts
 };
 
 /// Runs the search for one specification.

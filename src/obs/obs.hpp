@@ -166,6 +166,11 @@ struct Counters {
                                   ///< simulated point would have run but
                                   ///< its request did not need
 
+  Counter wc_iterations;   ///< worst-case search sequential-linearization
+                           ///< iterations, over all starts
+  Counter wc_out_of_reach; ///< search starts stopped on the trust sphere
+                           ///< with the level set still beyond it
+
   Counter ac_stamps;  ///< AcSession netlist stamp passes
   Counter ac_probes;  ///< AcSession frequency solves
 
@@ -202,6 +207,8 @@ struct Counters {
     design_context.reset();
     eval_analyses.reset();
     eval_analyses_skipped.reset();
+    wc_iterations.reset();
+    wc_out_of_reach.reset();
     ac_stamps.reset();
     ac_probes.reset();
     dc_solves.reset();
@@ -279,6 +286,8 @@ class Registry {
     fn("design_context.evictions", c.design_context.evictions.value());
     fn("eval.analyses", c.eval_analyses.value());
     fn("eval.analyses_skipped", c.eval_analyses_skipped.value());
+    fn("wc.iterations", c.wc_iterations.value());
+    fn("wc.out_of_reach", c.wc_out_of_reach.value());
     fn("ac.stamps", c.ac_stamps.value());
     fn("ac.probes", c.ac_probes.value());
     fn("dc.solves", c.dc_solves.value());

@@ -130,7 +130,7 @@ TEST(ParallelLinearization, ProbeTotalsIndependentOfThreads) {
     return ev.counts().optimization + ev.counts().cache_hits;
   };
   const std::size_t serial = probes(1);
-  EXPECT_EQ(serial, 216u);
+  EXPECT_EQ(serial, 165u);
   for (unsigned threads : {2u, 8u}) {
     SCOPED_TRACE(threads);
     EXPECT_EQ(probes(threads), serial);

@@ -87,7 +87,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 33u);
+  ASSERT_EQ(report.counters.size(), 35u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");
@@ -100,7 +100,8 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
         "\"linearization\"", "\"worst_case_search\"", "\"coordinate_search\"",
         "\"line_search\"", "\"verification\"", "\"is_verification\"",
         "\"probe_cache.hits\"", "\"eval.analyses\"",
-        "\"eval.analyses_skipped\"", "\"dc.newton_iterations\"",
+        "\"eval.analyses_skipped\"", "\"wc.iterations\"",
+        "\"wc.out_of_reach\"", "\"dc.newton_iterations\"",
         "\"tran.seed_resets\"", "\"mc.samples\"", "\"mc.is.samples\"",
         "\"mc.is.ess_fallbacks\"", "\"audit.runs\"", "\"audit.rejects\"",
         "\"evaluations\"", "\"optimizer\": null"})
@@ -140,14 +141,17 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
     // ...and moved the cache / sampling counters.
     std::uint64_t probe_lookups = 0;
     std::uint64_t mc_samples = 0;
+    std::uint64_t wc_iterations = 0;
     for (const CounterReport& counter : report.counters) {
       if (counter.name == "probe_cache.hits" ||
           counter.name == "probe_cache.misses")
         probe_lookups += counter.value;
       if (counter.name == "mc.samples") mc_samples = counter.value;
+      if (counter.name == "wc.iterations") wc_iterations = counter.value;
     }
     EXPECT_GT(probe_lookups, 0u);
     EXPECT_GE(mc_samples, 200u);
+    EXPECT_GT(wc_iterations, 0u);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "stats/normal.hpp"
 #include "synthetic_problem.hpp"
@@ -12,7 +13,24 @@ namespace {
 
 using linalg::DesignVec;
 using linalg::OperatingVec;
+using linalg::StatUnitVec;
 using linalg::Vector;
+
+/// One statistical parameter, f = 4 - 0.1 s0 - 0.05 s0^2 >= 0: the spec
+/// fails at s0 = 8 (beta = 8), but the linearization at s = 0 puts its
+/// level set near s0 = 39, beyond the default trust radius of 10.
+class OvershootModel final : public PerformanceModel {
+ public:
+  std::size_t num_performances() const override { return 1; }
+  std::size_t num_constraints() const override { return 0; }
+  linalg::PerfVec evaluate(const DesignVec&, const linalg::StatPhysVec& s,
+                           const OperatingVec&) override {
+    linalg::PerfVec f(1);
+    f[0] = 4.0 - 0.1 * s[0] - 0.05 * s[0] * s[0];
+    return f;
+  }
+  Vector constraints(const DesignVec&) override { return Vector(0); }
+};
 
 TEST(WcDistance, LinearSpecClosedForm) {
   // margin = d0 + d1 - s0 - 2 s1 - theta; at theta_wc = 1 and d = (2, 1):
@@ -137,6 +155,47 @@ TEST(WcDistance, MaxRadiusClampsHopelessSearch) {
       ev, 0, DesignVec(problem.design.nominal), OperatingVec{1.0}, options);
   EXPECT_LE(wc.s_wc.norm(), 5.0 + 1e-9);
   EXPECT_FALSE(wc.converged);
+  // The first step is clamped onto the sphere; the linearization there
+  // still puts the level set beyond it, so the start stops at once
+  // instead of walking the sphere to the iteration cap.
+  EXPECT_EQ(wc.iterations, 2);
+  EXPECT_NEAR(std::abs(wc.beta), 5.0, 1e-9);
+}
+
+TEST(WcDistance, ClampedStartConvergesWhenLevelSetIsBackInReach) {
+  // The first step is clamped to s0 = 10; the linearization there points
+  // back inside the sphere (s0 ~ 8.19), so the start must go on and
+  // converge: a clamp alone never stops a search.
+  auto problem = testing::make_synthetic_problem();
+  problem.model = std::make_shared<OvershootModel>();
+  problem.specs = {{"f", SpecKind::kLowerBound, 0.0, "u", 1.0}};
+  problem.statistical = stats::CovarianceModel();
+  problem.statistical.add(stats::StatParam::global("s0", 0.0, 1.0));
+  problem.validate();
+  Evaluator ev(problem);
+  const WorstCasePoint wc = find_worst_case_point(
+      ev, 0, DesignVec(problem.design.nominal), OperatingVec{0.0});
+  EXPECT_TRUE(wc.converged);
+  EXPECT_GT(wc.iterations, 2);
+  EXPECT_NEAR(wc.beta, 8.0, 1e-2);
+}
+
+TEST(WcDistance, IterationCapRelinearizesAtReturnedPoint) {
+  // Starts that reach max_iterations return their last iterate; the margin
+  // and gradient reported with it must be measured there, bit for bit.
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  Evaluator ev(problem);
+  WcDistanceOptions options;
+  options.max_iterations = 2;
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  const WorstCasePoint wc = find_worst_case_point(ev, 1, d, theta, options);
+  EXPECT_EQ(wc.margin_at_wc, ev.margin(1, d, wc.s_wc, theta));
+  const StatUnitVec gradient =
+      ev.margin_gradient_s(1, d, wc.s_wc, theta, options.gradient_step);
+  ASSERT_EQ(wc.gradient.size(), gradient.size());
+  for (std::size_t i = 0; i < gradient.size(); ++i)
+    EXPECT_EQ(wc.gradient[i], gradient[i]) << i;
 }
 
 }  // namespace
