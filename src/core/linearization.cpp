@@ -53,7 +53,8 @@ void append_spec_models(std::size_t spec, const OperatingVec& theta_wc,
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const DesignVec& d_f,
                                       const LinearizationOptions& options,
-                                      unsigned threads) {
+                                      unsigned threads,
+                                      const LinearizedModels* previous) {
   const std::size_t num_specs = evaluator.num_specs();
   // Spec i goes to worker i % n in both fan-outs, so each worker's
   // evaluator serves its own specs' searches and then their gradients.
@@ -75,8 +76,9 @@ LinearizedModels build_linearizations(Evaluator& evaluator,
       pool.run(num_specs, [&](unsigned w, unsigned n,
                               Evaluator& ev) {  // parallel-entry
         for (std::size_t i = w; i < num_specs; i += n)
-          wcs[i] = find_worst_case_point(ev, i, d_f, out.operating.theta_wc[i],
-                                         options.wc);
+          wcs[i] = find_worst_case_point(
+              ev, i, d_f, out.operating.theta_wc[i], options.wc,
+              previous != nullptr ? &previous->worst_cases.at(i) : nullptr);
       });
   }
 

@@ -68,9 +68,15 @@ struct LinearizedModels {
 /// is bitwise identical for any thread count; workers start with cold
 /// caches, so only the split between evaluations and cache hits can
 /// differ.
+///
+/// `previous` (the optimizer passes the last accepted iterate's models)
+/// hands each spec's previous worst-case point to its search, which
+/// warm-starts from it when it is a converged mirrored point (see
+/// wc_distance.hpp).  Without `previous` every spec runs the cold search.
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const linalg::DesignVec& d_f,
                                       const LinearizationOptions& options = {},
-                                      unsigned threads = 1);
+                                      unsigned threads = 1,
+                                      const LinearizedModels* previous = nullptr);
 
 }  // namespace mayo::core

@@ -120,11 +120,12 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
       }
       if (gamma <= 0.0) break;  // cannot move without leaving F
 
-      // Step 5: re-linearize at the candidate and apply the monotone
+      // Step 5: re-linearize at the candidate, following the accepted
+      // iterate's mismatch-type worst-case points, and apply the monotone
       // safeguard.
       LinearizedModels candidate_models =
           build_linearizations(evaluator, d_new, options.linearization,
-                               options.linearization_threads);
+                               options.linearization_threads, &linearized);
       IterationRecord record = make_record(evaluator, d_new, candidate_models,
                                            samples, iteration);
       if (options.monotone_safeguard &&

@@ -87,26 +87,20 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
   return out;
 }
 
-}  // namespace
-
-WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
-                                     const DesignVec& d,
-                                     const OperatingVec& theta_wc,
-                                     const WcDistanceOptions& options) {
+/// The cold search: the origin plus curvature-seeded starts along quadratic
+/// (mismatch-type) axes.  Returns the minimum-norm converged outcome, else
+/// the one with the smallest |margin|, with `iterations` summed over all
+/// starts.
+SearchOutcome multi_start_search(Evaluator& evaluator, std::size_t spec,
+                                 const DesignVec& d,
+                                 const OperatingVec& theta_wc,
+                                 double margin_nominal, double scale,
+                                 const WcDistanceOptions& options) {
   const std::size_t n = evaluator.num_statistical();
-  const double scale = evaluator.problem().specs.at(spec).scale;
-  const StatUnitVec origin(n);
-
-  WorstCasePoint result;
-  result.spec = spec;
-  result.margin_nominal = evaluator.margin(spec, d, origin, theta_wc);
-
-  // Collect start points: the nominal point plus curvature-seeded starts
-  // along quadratic (mismatch-type) axes.
   std::vector<StatUnitVec> starts;
-  starts.push_back(origin);
+  starts.emplace_back(n);  // the nominal point
 
-  if (options.curvature_starts && result.margin_nominal > 0.0) {
+  if (options.curvature_starts && margin_nominal > 0.0) {
     const double h = options.gradient_step;
     struct Axis {
       std::size_t index;
@@ -122,12 +116,12 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
       const double m_minus = evaluator.margin(spec, d, probe, theta_wc);
       probe[i] = 0.0;
       const double curvature =
-          (m_plus - 2.0 * result.margin_nominal + m_minus) / (h * h);
+          (m_plus - 2.0 * margin_nominal + m_minus) / (h * h);
       // A mismatch axis hurts on both sides and with meaningful strength.
-      if (m_plus < result.margin_nominal && m_minus < result.margin_nominal &&
+      if (m_plus < margin_nominal && m_minus < margin_nominal &&
           -curvature * 0.5 > options.curvature_threshold * scale) {
         const double radius = std::clamp(
-            std::sqrt(2.0 * std::max(result.margin_nominal, 0.1 * scale) /
+            std::sqrt(2.0 * std::max(margin_nominal, 0.1 * scale) /
                       (-curvature)),
             0.5, options.max_radius);
         axes.push_back({i, curvature, radius});
@@ -156,10 +150,11 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
   bool have_best = false;
   SearchOutcome fallback;
   bool have_fallback = false;
+  int iterations = 0;
   for (const StatUnitVec& start : starts) {
     SearchOutcome outcome =
         run_search(evaluator, spec, d, theta_wc, start, scale, options);
-    result.iterations += outcome.iterations;
+    iterations += outcome.iterations;
     if (outcome.converged) {
       if (!have_best || outcome.s.norm2() < best.s.norm2()) {
         best = std::move(outcome);
@@ -171,10 +166,46 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
       have_fallback = true;
     }
   }
-  const SearchOutcome& chosen = have_best ? best : fallback;
-  result.s_wc = chosen.s;
+  SearchOutcome chosen = have_best ? std::move(best) : std::move(fallback);
+  chosen.iterations = iterations;
+  return chosen;
+}
+
+}  // namespace
+
+WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
+                                     const DesignVec& d,
+                                     const OperatingVec& theta_wc,
+                                     const WcDistanceOptions& options,
+                                     const WorstCasePoint* previous) {
+  const double scale = evaluator.problem().specs.at(spec).scale;
+
+  WorstCasePoint result;
+  result.spec = spec;
+  result.margin_nominal = evaluator.margin(
+      spec, d, StatUnitVec(evaluator.num_statistical()), theta_wc);
+
+  // A warm start is one run from the previous point of a mirrored spec.
+  // Converged, it is the result; otherwise it is discarded and the cold
+  // search runs as if it had never been tried (evaluations are pure, so its
+  // outcome is unchanged).
+  SearchOutcome chosen;
+  if (previous != nullptr && previous->converged && previous->mirrored) {
+    obs::registry().counters.wc_warm_starts.add();
+    chosen = run_search(evaluator, spec, d, theta_wc, previous->s_wc, scale,
+                        options);
+    result.iterations = chosen.iterations;
+    if (!chosen.converged)
+      obs::registry().counters.wc_warm_fallbacks.add();
+  }
+  if (!chosen.converged) {
+    chosen = multi_start_search(evaluator, spec, d, theta_wc,
+                                result.margin_nominal, scale, options);
+    result.iterations += chosen.iterations;
+  }
+  result.s_wc = std::move(chosen.s);
   result.margin_at_wc = chosen.margin;
-  result.gradient = chosen.gradient;
+  result.gradient = std::move(chosen.gradient);
   result.converged = chosen.converged;
   const double sign = result.margin_nominal >= 0.0 ? 1.0 : -1.0;
   result.beta = sign * result.s_wc.norm();

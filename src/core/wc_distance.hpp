@@ -40,6 +40,22 @@
 // evaluation at -s_wc: if the margin there falls significantly below the
 // linear prediction, the performance is flagged so the linearization stage
 // adds a second, sign-flipped model.
+//
+// Warm start: a caller may pass the spec's `previous` worst-case point (the
+// optimizer passes the last accepted Fig.-6 iterate's, see
+// linearization.hpp).  If that point converged and was flagged mirrored,
+// one sequential-linearization start runs from its s_wc; if it converges
+// it is the result -- no curvature probes, no origin or curvature-seeded
+// starts -- and the mirror check runs as usual.  If it does not converge
+// it is discarded and the cold search above runs as if it had not been
+// tried, so s_wc, beta, gradient and the mirror flag are bitwise the cold
+// result; only `iterations` also counts the discarded start.  Only
+// mirrored (mismatch-type) specs are followed: their cold search pays 2n
+// curvature probes and up to five starts that land on the same +- pair
+// each time, and the eq. 21-22 mirror model covers the lobe the warm start
+// does not follow.  Every other spec keeps the cold search, whose origin
+// start shares its first iteration with the specs at the same corner
+// through the Evaluator cache.
 #pragma once
 
 #include <cstddef>
@@ -76,14 +92,15 @@ struct WorstCasePoint {
   bool mirrored = false;    ///< quadratic behaviour detected (eq. 21)
   double margin_at_mirror = 0.0;  ///< margin at -s_wc
   int iterations = 0;       ///< sequential-linearization iterations used,
-                            ///< summed over all starts
+                            ///< summed over all starts (warm one included)
 };
 
-/// Runs the search for one specification.
-WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
-                                     const linalg::DesignVec& d,
-                                     const linalg::OperatingVec& theta_wc,
-                                     const WcDistanceOptions& options = {});
+/// Runs the search for one specification, first from `previous`'s s_wc
+/// when it is a converged mirrored point (see the header comment).
+WorstCasePoint find_worst_case_point(
+    Evaluator& evaluator, std::size_t spec, const linalg::DesignVec& d,
+    const linalg::OperatingVec& theta_wc, const WcDistanceOptions& options = {},
+    const WorstCasePoint* previous = nullptr);
 
 /// Convenience: per-spec yield estimate Phi(beta) of a worst-case point.
 double worst_case_yield(const WorstCasePoint& wc);

@@ -13,9 +13,11 @@
 // For the coordinate search (eq. 19) the 1-D problem
 // argmax_alpha Y_bar(d + alpha e_k) is solved *exactly*: each sample's
 // feasible alpha-interval is intersected over all models, and a sweep over
-// the sorted interval endpoints finds the maximum-coverage plateau.  The
-// plateau midpoint is returned, which adds a design-centering flavour to
-// plateau ties.
+// the sorted interval endpoints finds the maximum coverage, O(N log N) per
+// coordinate.  Of the plateaus reaching it, the one nearest alpha = 0 wins;
+// the returned alpha is 0 if that plateau contains 0, else its zero-nearest
+// edge moved 10% of the plateau width inwards -- the smallest move that
+// does not sit on a sample's pass/fail boundary.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +61,7 @@ class LinearYieldModel {
 
   /// Result of the exact 1-D maximization over a coordinate move.
   struct AlphaScan {
-    double alpha = 0.0;        ///< plateau midpoint of the best move
+    double alpha = 0.0;        ///< chosen move inside the optimal plateau
     std::size_t passing = 0;   ///< samples passing at that alpha
     double plateau_lo = 0.0;   ///< extent of the optimal plateau
     double plateau_hi = 0.0;

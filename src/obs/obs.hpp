@@ -170,6 +170,10 @@ struct Counters {
                            ///< iterations, over all starts
   Counter wc_out_of_reach; ///< search starts stopped on the trust sphere
                            ///< with the level set still beyond it
+  Counter wc_warm_starts;    ///< searches started at the previous iterate's
+                             ///< worst-case point
+  Counter wc_warm_fallbacks; ///< warm starts that did not converge and ran
+                             ///< the full multi-start search
 
   Counter ac_stamps;  ///< AcSession netlist stamp passes
   Counter ac_probes;  ///< AcSession frequency solves
@@ -209,6 +213,8 @@ struct Counters {
     eval_analyses_skipped.reset();
     wc_iterations.reset();
     wc_out_of_reach.reset();
+    wc_warm_starts.reset();
+    wc_warm_fallbacks.reset();
     ac_stamps.reset();
     ac_probes.reset();
     dc_solves.reset();
@@ -288,6 +294,8 @@ class Registry {
     fn("eval.analyses_skipped", c.eval_analyses_skipped.value());
     fn("wc.iterations", c.wc_iterations.value());
     fn("wc.out_of_reach", c.wc_out_of_reach.value());
+    fn("wc.warm_starts", c.wc_warm_starts.value());
+    fn("wc.warm_fallbacks", c.wc_warm_fallbacks.value());
     fn("ac.stamps", c.ac_stamps.value());
     fn("ac.probes", c.ac_probes.value());
     fn("dc.solves", c.dc_solves.value());

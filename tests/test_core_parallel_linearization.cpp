@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/optimizer.hpp"
+#include "obs/obs.hpp"
 #include "synthetic_problem.hpp"
 
 namespace mayo::core {
@@ -170,6 +172,43 @@ TEST(ParallelLinearization, AnalysisSplitKeepsModelsAndCounts) {
                 2 * split_ev.counts().optimization);
     }
   }
+}
+
+TEST(ParallelLinearization, WarmStartedSweepMatchesSerial) {
+  // Re-linearizing at a moved design with the previous models warm-starts
+  // the mirrored quadratic spec; every thread count must still return the
+  // serial models and worst-case points bit for bit.
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  Evaluator first_ev(problem);
+  const LinearizedModels previous =
+      build_linearizations(first_ev, DesignVec(problem.design.nominal));
+  ASSERT_TRUE(previous.worst_cases[1].converged);
+  ASSERT_TRUE(previous.worst_cases[1].mirrored);
+  ASSERT_FALSE(previous.worst_cases[0].mirrored);
+
+  const DesignVec d_next{2.5, 1.0};
+  const auto warm = [&](unsigned threads) {
+    auto fresh = testing::make_synthetic_problem(2.0, 1.0);
+    Evaluator ev(fresh);
+    return build_linearizations(ev, d_next, {}, threads, &previous);
+  };
+  const std::uint64_t warm_before =
+      obs::registry().counters.wc_warm_starts.value();
+  const LinearizedModels serial = warm(1);
+  if (obs::kEnabled) {  // only the mirrored spec follows its previous point
+    EXPECT_EQ(obs::registry().counters.wc_warm_starts.value(),
+              warm_before + 1);
+  }
+  ASSERT_TRUE(serial.worst_cases[1].converged);
+  ASSERT_TRUE(serial.worst_cases[1].mirrored);
+  // The warm start replaced the multi-start search of the quadratic spec;
+  // the linear spec ran its cold search.
+  Evaluator cold_ev(problem);
+  const LinearizedModels cold = build_linearizations(cold_ev, d_next);
+  EXPECT_LT(serial.worst_cases[1].iterations, cold.worst_cases[1].iterations);
+  EXPECT_EQ(serial.worst_cases[0].iterations, cold.worst_cases[0].iterations);
+  EXPECT_EQ(serial.worst_cases[0].s_wc, cold.worst_cases[0].s_wc);
+  expect_identical(serial, warm(2));
 }
 
 TEST(ParallelLinearization, OptimizerRouteMatchesSerial) {

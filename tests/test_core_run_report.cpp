@@ -87,7 +87,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 35u);
+  ASSERT_EQ(report.counters.size(), 37u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");
@@ -101,7 +101,8 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
         "\"line_search\"", "\"verification\"", "\"is_verification\"",
         "\"probe_cache.hits\"", "\"eval.analyses\"",
         "\"eval.analyses_skipped\"", "\"wc.iterations\"",
-        "\"wc.out_of_reach\"", "\"dc.newton_iterations\"",
+        "\"wc.out_of_reach\"", "\"wc.warm_starts\"",
+        "\"wc.warm_fallbacks\"", "\"dc.newton_iterations\"",
         "\"tran.seed_resets\"", "\"mc.samples\"", "\"mc.is.samples\"",
         "\"mc.is.ess_fallbacks\"", "\"audit.runs\"", "\"audit.rejects\"",
         "\"evaluations\"", "\"optimizer\": null"})
@@ -142,16 +143,21 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
     std::uint64_t probe_lookups = 0;
     std::uint64_t mc_samples = 0;
     std::uint64_t wc_iterations = 0;
+    std::uint64_t wc_warm_starts = 0;
     for (const CounterReport& counter : report.counters) {
       if (counter.name == "probe_cache.hits" ||
           counter.name == "probe_cache.misses")
         probe_lookups += counter.value;
       if (counter.name == "mc.samples") mc_samples = counter.value;
       if (counter.name == "wc.iterations") wc_iterations = counter.value;
+      if (counter.name == "wc.warm_starts") wc_warm_starts = counter.value;
     }
     EXPECT_GT(probe_lookups, 0u);
     EXPECT_GE(mc_samples, 200u);
     EXPECT_GT(wc_iterations, 0u);
+    // The quadratic spec is mirrored, so every re-linearization follows
+    // its worst-case point.
+    EXPECT_GT(wc_warm_starts, 0u);
   }
 }
 

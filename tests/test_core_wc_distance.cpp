@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
+#include "obs/obs.hpp"
 #include "stats/normal.hpp"
 #include "synthetic_problem.hpp"
 
@@ -15,6 +17,12 @@ using linalg::DesignVec;
 using linalg::OperatingVec;
 using linalg::StatUnitVec;
 using linalg::Vector;
+
+/// Warm-start counters (wc.warm_starts, wc.warm_fallbacks) at one moment.
+struct WarmCounters {
+  std::uint64_t starts = obs::registry().counters.wc_warm_starts.value();
+  std::uint64_t fallbacks = obs::registry().counters.wc_warm_fallbacks.value();
+};
 
 /// One statistical parameter, f = 4 - 0.1 s0 - 0.05 s0^2 >= 0: the spec
 /// fails at s0 = 8 (beta = 8), but the linearization at s = 0 puts its
@@ -196,6 +204,116 @@ TEST(WcDistance, IterationCapRelinearizesAtReturnedPoint) {
   ASSERT_EQ(wc.gradient.size(), gradient.size());
   for (std::size_t i = 0; i < gradient.size(); ++i)
     EXPECT_EQ(wc.gradient[i], gradient[i]) << i;
+}
+
+TEST(WcDistance, ColdSearchUnlessPreviousIsConvergedAndMirrored) {
+  // No previous point, or one that is not mirrored or did not converge:
+  // the quadratic spec's cold multi-start search, with the iteration and
+  // evaluation counts it has always had (origin start plus
+  // curvature-seeded starts, 2n probes, the mirror check).
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  Evaluator cold_ev(problem);
+  const WorstCasePoint cold = find_worst_case_point(cold_ev, 1, d, theta);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_TRUE(cold.mirrored);
+  WorstCasePoint unmirrored = cold;
+  unmirrored.mirrored = false;
+  WorstCasePoint unconverged = cold;
+  unconverged.converged = false;
+
+  const WorstCasePoint* const previous_points[] = {nullptr, &unmirrored,
+                                                   &unconverged};
+  for (const WorstCasePoint* previous : previous_points) {
+    Evaluator ev(problem);
+    const WarmCounters before;
+    const WorstCasePoint wc =
+        find_worst_case_point(ev, 1, d, theta, WcDistanceOptions{}, previous);
+    const WarmCounters after;
+    EXPECT_TRUE(wc.converged);
+    EXPECT_TRUE(wc.mirrored);
+    EXPECT_EQ(wc.s_wc, cold.s_wc);
+    EXPECT_EQ(wc.iterations, 26);
+    EXPECT_EQ(ev.counts().optimization, 108u);
+    EXPECT_EQ(ev.counts().cache_hits, 30u);
+    EXPECT_EQ(after.starts, before.starts);
+    EXPECT_EQ(after.fallbacks, before.fallbacks);
+  }
+}
+
+TEST(WcDistance, WarmStartAtColdPointSkipsTheMultiStart) {
+  // Started at the cold search's own worst-case point, the warm start
+  // converges at once: fewer evaluations, no curvature probe around the
+  // origin, the same point, and the mirror check still runs.
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  const WcDistanceOptions options;
+  Evaluator cold_ev(problem);
+  const WorstCasePoint cold = find_worst_case_point(cold_ev, 1, d, theta);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_TRUE(cold.mirrored);
+
+  Evaluator ev(problem);
+  const WarmCounters before;
+  const WorstCasePoint warm =
+      find_worst_case_point(ev, 1, d, theta, options, &cold);
+  const WarmCounters after;
+  EXPECT_TRUE(warm.converged);
+  EXPECT_TRUE(warm.mirrored);
+  EXPECT_LT(ev.counts().optimization, cold_ev.counts().optimization);
+  EXPECT_LT(warm.iterations, cold.iterations);
+  EXPECT_LE(linalg::distance(warm.s_wc, cold.s_wc), options.step_tolerance);
+  EXPECT_NEAR(warm.beta, cold.beta, options.step_tolerance);
+  if (obs::kEnabled) {
+    EXPECT_EQ(after.starts, before.starts + 1);
+    EXPECT_EQ(after.fallbacks, before.fallbacks);
+  }
+
+  // No curvature probe ran: every +-h point on an axis is still a miss.
+  const std::size_t evaluations = ev.counts().optimization;
+  StatUnitVec probe(ev.num_statistical());
+  for (std::size_t i = 0; i < probe.size(); ++i)
+    for (double h : {options.gradient_step, -options.gradient_step}) {
+      probe[i] = h;
+      (void)ev.margin(1, d, probe, theta);
+      probe[i] = 0.0;
+    }
+  EXPECT_EQ(ev.counts().optimization, evaluations + 2 * probe.size());
+}
+
+TEST(WcDistance, FailedWarmStartFallsBackToTheColdResult) {
+  // On the neutral line s1 = s2 the quadratic spec's margin does not move,
+  // so a warm start there stops out of reach.  It is discarded and the
+  // cold search decides, bit for bit; only the iteration total grows.
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  const DesignVec d(problem.design.nominal);
+  const OperatingVec theta{0.0};
+  Evaluator cold_ev(problem);
+  const WorstCasePoint cold = find_worst_case_point(cold_ev, 1, d, theta);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_TRUE(cold.mirrored);
+
+  WorstCasePoint neutral = cold;
+  neutral.s_wc = StatUnitVec{0.0, 5.0, 5.0};
+  Evaluator ev(problem);
+  const WarmCounters before;
+  const WorstCasePoint wc =
+      find_worst_case_point(ev, 1, d, theta, WcDistanceOptions{}, &neutral);
+  const WarmCounters after;
+  EXPECT_EQ(wc.s_wc, cold.s_wc);
+  EXPECT_EQ(wc.beta, cold.beta);
+  EXPECT_EQ(wc.gradient, cold.gradient);
+  EXPECT_EQ(wc.margin_at_wc, cold.margin_at_wc);
+  EXPECT_EQ(wc.converged, cold.converged);
+  EXPECT_EQ(wc.mirrored, cold.mirrored);
+  EXPECT_EQ(wc.margin_at_mirror, cold.margin_at_mirror);
+  EXPECT_EQ(wc.iterations, cold.iterations + 2);  // the out-of-reach stop
+  if (obs::kEnabled) {
+    EXPECT_EQ(after.starts, before.starts + 1);
+    EXPECT_EQ(after.fallbacks, before.fallbacks + 1);
+  }
 }
 
 }  // namespace
