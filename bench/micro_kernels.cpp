@@ -2,6 +2,7 @@
 //   * dense LU / Cholesky factorizations (simulator + covariance factors),
 //   * DC / AC / transient solves of the folded-cascode netlist,
 //   * a full performance evaluation f(d, s, theta),
+//   * the slew-rate transient alone,
 //   * the Monte-Carlo yield estimate: full re-evaluation vs. the O(1)
 //     incremental coordinate update of paper eq. (20),
 //   * the exact 1-D coordinate maximization (best_alpha),
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "circuits/folded_cascode.hpp"
+#include "circuits/miller.hpp"
 #include "core/linearization.hpp"
 #include "core/verification.hpp"
 #include "core/wc_distance.hpp"
@@ -16,6 +18,7 @@
 #include "core/yield_model.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
+#include "obs/obs.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -152,6 +155,58 @@ void BM_FoldedCascodeConstraints(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FoldedCascodeConstraints);
+
+/// Slew-only evaluation of one opamp at fresh samples: each iteration
+/// measures SR+ at the next of 256 mismatch samples of the initial design,
+/// so only the per-(d, theta) design context (the nominal step response
+/// that seeds the samples, built before timing) is reused.  Counters give
+/// the transient time steps and Newton iterations per evaluation (zero
+/// under MAYO_OBS=OFF).
+template <class Model>
+void slew_bench(benchmark::State& state) {
+  const core::YieldProblem problem = Model::make_problem();
+  core::PerformanceModel& model = *problem.model;
+  const linalg::DesignVec d(Model::initial_design());
+  const linalg::OperatingVec theta(problem.operating.nominal);
+  const stats::SampleSet unit(256, problem.statistical.dimension(), 11);
+  std::vector<linalg::StatPhysVec> samples;
+  for (std::size_t j = 0; j < unit.count(); ++j) {
+    linalg::StatUnitVec s_hat(problem.statistical.dimension());
+    for (std::size_t i = 0; i < s_hat.size(); ++i) s_hat[i] = unit.sample(j)[i];
+    samples.push_back(problem.statistical.to_physical(s_hat, d));
+  }
+  const core::AnalysisMask slew =
+      core::analysis_bit(circuits::OpampModel::kSlewAnalysis);
+  model.evaluate_analyses(d, samples.back(), theta, slew);  // builds context
+  const obs::Counters& c = obs::registry().counters;
+  const std::uint64_t steps = c.tran_steps.value();
+  const std::uint64_t newton = c.tran_newton_iterations.value();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.evaluate_analyses(d, samples[next], theta, slew));
+    next = (next + 1) % samples.size();
+  }
+  const double evals = static_cast<double>(state.iterations());
+  state.counters["tran_steps"] =
+      static_cast<double>(c.tran_steps.value() - steps) / evals;
+  state.counters["newton_iterations"] =
+      static_cast<double>(c.tran_newton_iterations.value() - newton) / evals;
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SlewBench(benchmark::State& state) {
+  // Arg: opamp (0 folded cascode, 1 Miller).
+  if (state.range(0) == 0)
+    slew_bench<circuits::FoldedCascode>(state);
+  else
+    slew_bench<circuits::Miller>(state);
+}
+BENCHMARK(BM_SlewBench)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgName("miller")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BatchEvalFoldedCascode(benchmark::State& state) {
   // Batch-vs-scalar throughput of the evaluation spine.  Every iteration

@@ -9,7 +9,9 @@
 // shows the testbench runs behind those points: each opamp point has an AC
 // bench and a transient slew bench, and a worst-case search for one spec
 // runs only the bench that measures it (obs counters eval.analyses,
-// eval.analyses_skipped and tran.solves).  The next four columns show where
+// eval.analyses_skipped and tran.solves), and the transients' cost: their
+// accepted time steps and Newton iterations (tran.steps,
+// tran.newton_iterations).  The next four columns show where
 // the worst-case searches spend their simulations: sequential-linearization
 // iterations over all starts, each a forward-difference gradient, the
 // starts stopped on the trust sphere because their spec is out of reach
@@ -37,6 +39,8 @@ struct Effort {
   std::uint64_t analyses = 0;  ///< testbench runs
   std::uint64_t skipped = 0;   ///< testbench runs a full evaluation adds
   std::uint64_t tran_solves = 0;
+  std::uint64_t tran_steps = 0;
+  std::uint64_t tran_newton = 0;
   std::uint64_t wc_iterations = 0;
   std::uint64_t wc_out_of_reach = 0;
   std::uint64_t wc_warm_starts = 0;
@@ -57,6 +61,8 @@ Effort run(core::YieldProblem problem,
   effort.analyses = c.eval_analyses.value();
   effort.skipped = c.eval_analyses_skipped.value();
   effort.tran_solves = c.tran_solves.value();
+  effort.tran_steps = c.tran_steps.value();
+  effort.tran_newton = c.tran_newton_iterations.value();
   effort.wc_iterations = c.wc_iterations.value();
   effort.wc_out_of_reach = c.wc_out_of_reach.value();
   effort.wc_warm_starts = c.wc_warm_starts.value();
@@ -90,7 +96,8 @@ int main() {
   const core::YieldOptimizationResult& miller = miller_effort.result;
 
   core::TextTable table({"Circuit", "# Simulations", "# Testbench runs",
-                         "skipped", "transients", "WC iterations",
+                         "skipped", "transients", "time steps",
+                         "tran Newton", "WC iterations",
                          "out of reach", "warm starts", "warm fallbacks",
                          "Wall clock", "paper # sims",
                          "paper wall clock"});
@@ -98,7 +105,8 @@ int main() {
                            const char* paper_sims, const char* paper_wall) {
     table.add_row({name, std::to_string(effort.sims()),
                    counter(effort.analyses), counter(effort.skipped),
-                   counter(effort.tran_solves),
+                   counter(effort.tran_solves), counter(effort.tran_steps),
+                   counter(effort.tran_newton),
                    counter(effort.wc_iterations),
                    counter(effort.wc_out_of_reach),
                    counter(effort.wc_warm_starts),
@@ -136,7 +144,9 @@ int main() {
               "A simulation is one probed (d, s, theta) point; testbench runs "
               "count the AC and slew benches actually run at those points, "
               "'skipped' the benches a full evaluation of each new point "
-              "would have added, 'transients' every transient solve; "
+              "would have added, 'transients' every transient solve, 'time "
+              "steps' and 'tran Newton' their accepted time steps and Newton "
+              "iterations; "
               "'WC iterations' counts worst-case search iterations over all "
               "starts, 'out of reach' the starts stopped on the trust sphere "
               "with their spec still beyond it, 'warm starts' the searches "

@@ -69,7 +69,7 @@ class FoldedCascode final : public OpampModel {
     double sat_margin = 0.05;   ///< required saturation margin [V]
     double sr_step = 0.5;       ///< input step of the slew bench [V]
     double sr_t_stop = 120e-9;  ///< transient duration [s]
-    double sr_dt = 0.5e-9;      ///< transient step [s]
+    double sr_dt = 0.5e-9;      ///< transient base step [s]
     /// Linear-solver backend selection for every bench solve (kAuto keeps
     /// this opamp-scale netlist on the dense fast path; tests force
     /// kSparse to pin dense/sparse equivalence).

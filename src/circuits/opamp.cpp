@@ -30,8 +30,7 @@ struct OpampModel::DesignContext {
   bool sr_done = false;
   bool sr_converged = false;
   Vector op_sr;  ///< nominal DC operating point of the unity-gain bench
-  bool traj_valid = false;
-  std::vector<Vector> sr_traj;  ///< nominal step-response trajectory
+  sim::TranResult sr_tran;  ///< nominal step response (seeds if converged)
 };
 
 namespace {
@@ -95,9 +94,9 @@ sim::GainBandwidth OpampModel::gain_bandwidth(const Vector& op,
                                      setup_.ft_high, bracket);
 }
 
-sim::TranResult OpampModel::step_response(
-    const Vector& op, const Vector& theta,
-    const std::vector<Vector>* seed) {
+sim::TranResult OpampModel::step_response(const Vector& op,
+                                          const Vector& theta,
+                                          const sim::TranResult* seed) {
   Bench& sr = *sr_bench_;
   const double vcm = 0.5 * theta[1];
   const double step = setup_.sr_step;
@@ -107,9 +106,12 @@ sim::TranResult OpampModel::step_response(
   sim::TranOptions tran;
   tran.t_stop = setup_.sr_t_stop;
   tran.dt = setup_.sr_dt;
+  // The input steps at t = 0+ and the output settles well before t_stop,
+  // so the step may grow up to the whole run on the flat tail.
+  tran.max_dt = setup_.sr_t_stop;
   tran.newton.solver = setup_.solver;
   tran.newton.workspace = &sr.newton;
-  tran.seed_trajectory = seed;
+  tran.seed = seed;
   sim::TranResult tr =
       sim::solve_transient(sr.netlist, op, Conditions{theta[0]}, tran);
   sr.vinp->clear_waveform();
@@ -154,13 +156,9 @@ void OpampModel::ensure_sr_section(DesignContext& ctx, const Vector& d,
   ctx.sr_converged = op.converged;
   if (!op.converged) return;
   ctx.op_sr = op.solution;
-  // Nominal step response: its trajectory seeds every sample's per-step
-  // Newton iteration.
-  sim::TranResult tr = step_response(op.solution, theta, nullptr);
-  if (tr.converged) {
-    ctx.sr_traj = std::move(tr.solutions);
-    ctx.traj_valid = true;
-  }
+  // Nominal step response: it seeds the Newton iteration of every
+  // sample's steps that fall on its own grid.
+  ctx.sr_tran = step_response(op.solution, theta, nullptr);
 }
 
 OpampModel::DesignContext& OpampModel::prepared_context(
@@ -217,7 +215,7 @@ void OpampModel::measure_sr(DesignContext& ctx, const Vector& d,
                                     ctx.sr_converged ? &ctx.op_sr : nullptr);
   if (!op.converged) return;  // sr_valid stays false
   const sim::TranResult tr = step_response(
-      op.solution, theta, ctx.traj_valid ? &ctx.sr_traj : nullptr);
+      op.solution, theta, ctx.sr_tran.converged ? &ctx.sr_tran : nullptr);
   if (!tr.converged) return;
   out.sr_v_per_us =
       1e-6 * sim::measure_slew_rate(tr.time, tr.node_voltage(sr.out));

@@ -136,7 +136,7 @@ class OpampModel : public core::PerformanceModel {
     double sat_margin = 0.0;                ///< required saturation margin [V]
     double sr_step = 0.0;                   ///< slew-bench input step [V]
     double sr_t_stop = 0.0;                 ///< transient duration [s]
-    double sr_dt = 0.0;                     ///< transient step [s]
+    double sr_dt = 0.0;                     ///< transient base step [s]
     linalg::Vector theta_nominal;           ///< operating point of constraints
     linalg::SolverOptions solver;           ///< backend of every bench solve
   };
@@ -194,10 +194,11 @@ class OpampModel : public core::PerformanceModel {
   sim::GainBandwidth gain_bandwidth(const linalg::Vector& op,
                                     const circuit::Conditions& conditions,
                                     const sim::FtBracket* bracket);
-  /// Step response of the slew bench from its operating point `op`.
+  /// Step response of the slew bench from its operating point `op`,
+  /// Newton-seeded from `seed` where the two grids share a step.
   sim::TranResult step_response(const linalg::Vector& op,
                                 const linalg::Vector& theta,
-                                const std::vector<linalg::Vector>* seed);
+                                const sim::TranResult* seed);
 
   const Setup setup_;
   const bool measures_cmrr_;         ///< CMRR is among the performances

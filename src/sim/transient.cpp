@@ -84,6 +84,59 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
   }
   return false;
 }
+
+/// Step, in base steps, after an accepted step of `stride` base steps (see
+/// TranOptions::max_dt): the largest power of two p <= 2 * stride with
+/// p * dt <= max_dt whose backward-Euler truncation estimate
+/// 1/2 (p dt)^2 max|v''| stays within 10 * vntol, and never below 1.  v''
+/// is the second divided difference of the last three accepted node
+/// voltages; 10 * vntol is the update size the step's own Newton loop
+/// accepts as converged, so a longer step errs by no more than Newton
+/// already tolerates.
+int next_stride(const TranResult& result, std::size_t num_nodes, int stride,
+                const TranOptions& options) {
+  const std::size_t m = result.time.size();
+  if (m < 3 || 2.0 * options.dt > options.max_dt) return 1;
+  const double t0 = result.time[m - 3];
+  const double t1 = result.time[m - 2];
+  const double t2 = result.time[m - 1];
+  const Vector& v0 = result.solutions[m - 3];
+  const Vector& v1 = result.solutions[m - 2];
+  const Vector& v2 = result.solutions[m - 1];
+  double curvature = 0.0;  // max |v''| over node voltages; NaN sticks
+  for (std::size_t i = 0; i + 1 < num_nodes; ++i) {
+    const double second = std::abs(
+        2.0 * ((v2[i] - v1[i]) / (t2 - t1) - (v1[i] - v0[i]) / (t1 - t0)) /
+        (t2 - t0));
+    if (std::isnan(second) || second > curvature) curvature = second;
+  }
+  const double bound = 10.0 * options.newton.vntol;
+  int next = 1;
+  while (next <= stride) {
+    const double h = static_cast<double>(2 * next) * options.dt;
+    if (h > options.max_dt || !(0.5 * h * h * curvature <= bound)) break;
+    next *= 2;
+  }
+  return next;
+}
+
+constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+
+/// Index j with seed.time[j] == t_prev and seed.time[j + 1] == t, both
+/// solutions of size n; kNoSeed when the seed has no such step.  `cursor`
+/// is the first seed point not before the previous call's t_prev, so a
+/// run scans the seed once.
+std::size_t seed_step(const TranResult& seed, double t_prev, double t,
+                      std::size_t n, std::size_t& cursor) {
+  const std::vector<double>& time = seed.time;
+  while (cursor < time.size() && time[cursor] < t_prev) ++cursor;
+  const std::size_t j = cursor;
+  if (j + 1 < time.size() && j + 1 < seed.solutions.size() &&
+      time[j] == t_prev && time[j + 1] == t && seed.solutions[j].size() == n &&
+      seed.solutions[j + 1].size() == n)
+    return j;
+  return kNoSeed;
+}
 }  // namespace
 
 TranResult solve_transient(Netlist& netlist, const Vector& initial,
@@ -93,6 +146,12 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     throw std::invalid_argument("solve_transient: initial state size mismatch");
   if (!(options.dt > 0.0) || !(options.t_stop > 0.0))
     throw std::invalid_argument("solve_transient: dt and t_stop must be positive");
+  if (!(options.max_dt >= 0.0))
+    throw std::invalid_argument("solve_transient: max_dt must be non-negative");
+  if (options.max_dt > options.dt && options.method == TranMethod::kBdf2)
+    throw std::invalid_argument(
+        "solve_transient: step growth (max_dt > dt) estimates backward "
+        "Euler's truncation error, not BDF2's");
   // Capacitors stamp companion conductances every step, so they count as
   // conduction edges for the transient boundary audit.
   audit::enforce_boundary(netlist, options.newton.audit,
@@ -106,9 +165,10 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
   result.solutions.push_back(initial);
 
   Vector x_prev = initial;
-  // A seed trajectory that fails to converge a step is dropped for the
-  // rest of the run (see below); until then every sized step may seed.
-  bool seed_ok = true;
+  // A seed that fails to converge a step is dropped for the rest of the
+  // run (see below); until then every step it covers may seed.
+  bool seed_ok = options.seed != nullptr;
+  std::size_t seed_cursor = 0;
   Vector x_prev2;  // two steps back; empty until two equal steps accepted
   // One linear-system workspace serves every Newton step of this run (the
   // caller-owned one when TranOptions::newton provides it).
@@ -120,35 +180,35 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
   const int steps = static_cast<int>(std::ceil(options.t_stop / options.dt));
   result.time.reserve(static_cast<std::size_t>(steps) + 1);
   result.solutions.reserve(static_cast<std::size_t>(steps) + 1);
-  for (int k = 1; k <= steps; ++k) {
-    const double t = std::min(static_cast<double>(k) * options.dt, options.t_stop);
-    const double h = t - result.time.back();
+  // Accepted times are k * dt; each step advances k by `stride`.
+  int stride = 1;
+  for (int k = 0; k < steps;) {
+    int k_next = std::min(k + stride, steps);
+    double t =
+        std::min(static_cast<double>(k_next) * options.dt, options.t_stop);
+    double h = t - result.time.back();
     if (h <= 0.0) break;
     // BDF2 requires two equally spaced history points (full dt steps).
     const bool use_bdf2 = options.method == TranMethod::kBdf2 &&
                           !x_prev2.empty() &&
                           std::abs(h - options.dt) < 1e-15;
-    // Newton start: previous point plus the seed trajectory's increment
-    // when one is provided, otherwise the previous time point alone.  The
-    // delta form carries the solution's standing offset from the seed
-    // (e.g. a mismatch sample's DC shift against a nominal-trajectory
-    // seed) forward into the start, which typically lands an iteration
-    // closer to convergence than the raw seed point.  The seed never
-    // enters the integration formula itself, so it affects the iteration
-    // count and the last-bit Newton endpoint, never the method.
-    const bool seeded =
-        seed_ok && options.seed_trajectory != nullptr &&
-        static_cast<std::size_t>(k) < options.seed_trajectory->size() &&
-        (*options.seed_trajectory)[static_cast<std::size_t>(k)].size() ==
-            netlist.system_size() &&
-        (*options.seed_trajectory)[static_cast<std::size_t>(k) - 1].size() ==
-            netlist.system_size();
+    // Newton start: previous point plus the seed's increment over this
+    // step when the seed has one, otherwise the previous time point alone.
+    // The delta form carries the solution's standing offset from the seed
+    // (e.g. a mismatch sample's DC shift against a nominal-response seed)
+    // forward into the start, which typically lands an iteration closer
+    // to convergence than the raw seed point.  The seed never enters the
+    // integration formula itself, so it affects the iteration count and
+    // the last-bit Newton endpoint, never the method.
+    const std::size_t j =
+        seed_ok ? seed_step(*options.seed, result.time.back(), t,
+                            netlist.system_size(), seed_cursor)
+                : kNoSeed;
+    const bool seeded = j != kNoSeed;
     Vector x = x_prev;  // hot-ok: becomes the stored trajectory point
     if (seeded) {
-      const Vector& seed_now =
-          (*options.seed_trajectory)[static_cast<std::size_t>(k)];
-      const Vector& seed_prev =
-          (*options.seed_trajectory)[static_cast<std::size_t>(k) - 1];
+      const Vector& seed_prev = options.seed->solutions[j];
+      const Vector& seed_now = options.seed->solutions[j + 1];
       for (std::size_t i = 0; i < x.size(); ++i)
         x[i] += seed_now[i] - seed_prev[i];
     }
@@ -168,6 +228,16 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
       step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, t,
                             x, result.newton_iterations, system, scratch,
                             use_bdf2 ? &x_prev2 : nullptr);
+    }
+    if (!step_ok && k_next - k > 1) {
+      // A grown step failed: fall back to the base step before halving.
+      // (Growth implies backward Euler, so there is no BDF2 history.)
+      k_next = k + 1;
+      t = std::min(static_cast<double>(k_next) * options.dt, options.t_stop);
+      h = t - result.time.back();
+      x = x_prev;
+      step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, t,
+                            x, result.newton_iterations, system, scratch);
     }
     if (!step_ok) {
       // Retry once with half steps to get through sharp source edges.
@@ -200,6 +270,8 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     else
       x_prev2.resize(0);  // drops BDF2 history without reallocating
     x_prev = std::move(x);
+    stride = next_stride(result, netlist.num_nodes(), k_next - k, options);
+    k = k_next;
   }
   result.converged = true;
   tallies.tran_newton_iterations.add(

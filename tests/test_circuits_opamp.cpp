@@ -6,6 +6,7 @@
 // test_circuits_miller.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -32,6 +33,12 @@ struct Traits<FoldedCascode> {
   using Design = FoldedCascodeDesign;
   using Stats = FoldedCascodeStats;
   static constexpr std::size_t kStatistical = 14;  // 4 globals + 10 locals
+  /// SR+ [V/us] at the initial design on the fixed 0.5 ns grid: nominal,
+  /// then -3 and +3 sigma along dkpn_g and along dvth_M3.
+  static constexpr std::array<std::size_t, 2> kSlewAxes{2, 6};
+  static constexpr std::array<double, 5> kFixedGridSlewRate{
+      31.3255849960, 30.6682359858, 31.8321860626, 29.9387040101,
+      32.6246884946};
   static std::vector<std::string> constraint_names() {
     return {"sat(M0)", "sat(M1)", "sat(M2)", "sat(M3)", "sat(M4)", "sat(M5)",
             "sat(M6)", "sat(M7)", "sat(M8)", "sat(M9)", "sat(M10)"};
@@ -43,6 +50,12 @@ struct Traits<Miller> {
   using Design = MillerDesign;
   using Stats = MillerStats;
   static constexpr std::size_t kStatistical = 4;  // globals only
+  /// SR+ [V/us] at the initial design on the fixed 4 ns grid: nominal,
+  /// then -3 and +3 sigma along dkpn_g and along dkpp_g.
+  static constexpr std::array<std::size_t, 2> kSlewAxes{2, 3};
+  static constexpr std::array<double, 5> kFixedGridSlewRate{
+      2.56912268096, 2.51723613437, 2.61082100136, 2.58629309760,
+      2.55352886851};
   static std::vector<std::string> constraint_names() {
     return {"sat(M1)", "sat(M2)", "sat(M3)", "sat(M4)",
             "sat(M5)", "sat(M6)", "sat(M7)"};
@@ -166,6 +179,43 @@ TYPED_TEST(OpampContract, DesignContextCacheIsABoundedFifo) {
   EXPECT_EQ(counters.evictions.value() - evictions, 2u);
 }
 #endif
+
+TYPED_TEST(OpampContract, GrownSlewGridKeepsTheFixedGridSlewRate) {
+  // SR+ with the slew transient's step grown on its settled tail against
+  // the fixed-grid values (every step at sr_dt) recorded before the step
+  // could grow, at the nominal point and at +-3 sigma along two axes.
+  // The 10-90% edge lies before the first grown step; only the final
+  // value, and with it the 10% and 90% levels, may move, by no more than
+  // the Newton tolerance.
+  using T = Traits<TypeParam>;
+  TypeParam model;
+  const Vector sigmas =
+      this->problem.statistical.sigmas(linalg::DesignVec(this->d0));
+  std::vector<Vector> points{this->s0};
+  for (const std::size_t i : T::kSlewAxes)
+    for (const double k : {-3.0, 3.0}) {
+      Vector s = this->s0;
+      s[i] += k * sigmas[i];
+      points.push_back(s);
+    }
+  ASSERT_EQ(points.size(), T::kFixedGridSlewRate.size());
+  const obs::Counters& c = obs::registry().counters;
+  [[maybe_unused]] const std::uint64_t steps = c.tran_steps.value();
+  [[maybe_unused]] const std::uint64_t solves = c.tran_solves.value();
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const auto m = model.measure(this->d0, points[p], this->theta0);
+    ASSERT_TRUE(m.sr_valid);
+    const double want = T::kFixedGridSlewRate[p];
+    EXPECT_NEAR(m.sr_v_per_us, want, 1e-6 * want) << "s = " << points[p];
+  }
+#if MAYO_OBS_ENABLED  // the counters are no-op shells under MAYO_OBS=OFF
+  const typename TypeParam::Options options;
+  const auto fixed_steps = static_cast<std::uint64_t>(
+      std::llround(options.sr_t_stop / options.sr_dt));
+  EXPECT_LT(3 * (c.tran_steps.value() - steps),
+            2 * fixed_steps * (c.tran_solves.value() - solves));
+#endif
+}
 
 TYPED_TEST(OpampContract, EvaluateStaysFiniteOnExtremeDesigns) {
   // Pathological sizings (minimum widths, the reference current at either

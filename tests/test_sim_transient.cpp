@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "sim/dc.hpp"
 
@@ -76,6 +80,12 @@ TEST(Transient, ValidatesArguments) {
   options.dt = 0.0;
   EXPECT_THROW(solve_transient(nl, ok, Conditions{}, options),
                std::invalid_argument);
+  options.dt = 1e-9;
+  for (const double max_dt : {-1e-9, std::nan("")}) {
+    options.max_dt = max_dt;
+    EXPECT_THROW(solve_transient(nl, ok, Conditions{}, options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Transient, RcDischargeConservesMonotonicity) {
@@ -118,7 +128,7 @@ TEST(Transient, GoodSeedTrajectoryLeavesSolutionUnchanged) {
       solve_transient(nl, op.solution, Conditions{}, options);
   ASSERT_TRUE(reference.converged);
 
-  options.seed_trajectory = &reference.solutions;
+  options.seed = &reference;
   const TranResult seeded =
       solve_transient(nl, op.solution, Conditions{}, options);
   ASSERT_TRUE(seeded.converged);
@@ -157,13 +167,16 @@ TEST(Transient, BadSeedTrajectoryIsDroppedAfterFirstFailure) {
       solve_transient(nl, op.solution, Conditions{}, options);
   ASSERT_TRUE(reference.converged);
 
-  // Poisonous seed: +100 V increment per step on every unknown.
-  std::vector<Vector> bad_seed(reference.solutions.size());
-  for (std::size_t k = 0; k < bad_seed.size(); ++k) {
-    bad_seed[k] = Vector(nl.system_size());
-    bad_seed[k].fill(100.0 * static_cast<double>(k));
+  // Poisonous seed on the run's own grid: +100 V increment per step on
+  // every unknown.
+  TranResult bad_seed;
+  bad_seed.time = reference.time;
+  bad_seed.solutions.resize(reference.solutions.size());
+  for (std::size_t k = 0; k < bad_seed.solutions.size(); ++k) {
+    bad_seed.solutions[k] = Vector(nl.system_size());
+    bad_seed.solutions[k].fill(100.0 * static_cast<double>(k));
   }
-  options.seed_trajectory = &bad_seed;
+  options.seed = &bad_seed;
   const TranResult seeded =
       solve_transient(nl, op.solution, Conditions{}, options);
 
@@ -178,6 +191,180 @@ TEST(Transient, BadSeedTrajectoryIsDroppedAfterFirstFailure) {
   // before the seed was dropped; every later step ran cold.
   EXPECT_EQ(seeded.newton_iterations,
             reference.newton_iterations + options.newton.max_iterations);
+}
+
+/// R = 1k, C = 1n (tau = 1 us) driven by a source whose waveform the test
+/// sets; the step-growth tests integrate it well past its settling.
+struct RcCircuit {
+  explicit RcCircuit(std::function<double(double)> waveform) {
+    const NodeId in = nl.add_node("in");
+    out = nl.add_node("out");
+    auto& vin = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+    nl.add<Resistor>("R1", in, out, 1e3);
+    nl.add<Capacitor>("C1", out, kGround, 1e-9);
+    const DcResult dc = solve_dc(nl, Conditions{});
+    EXPECT_TRUE(dc.converged);
+    op = dc.solution;
+    vin.set_waveform(std::move(waveform));
+  }
+  TranResult run(const TranOptions& options) {
+    return solve_transient(nl, op, Conditions{}, options);
+  }
+  Netlist nl;
+  NodeId out = kGround;
+  Vector op;
+};
+
+/// 0 -> 1 V step at t = 0+.
+double unit_step(double t) { return t > 0.0 ? 1.0 : 0.0; }
+
+/// Base steps of dt between accepted times: every time must be exactly
+/// k * dt, except a last one clipped at t_stop.
+std::vector<long long> strides(const TranResult& r, const TranOptions& o) {
+  std::vector<long long> out;
+  long long k_prev = 0;
+  for (std::size_t i = 1; i < r.time.size(); ++i) {
+    const long long k = std::llround(r.time[i] / o.dt);
+    if (!(i + 1 == r.time.size() && r.time[i] == o.t_stop)) {
+      EXPECT_EQ(r.time[i], static_cast<double>(k) * o.dt) << "point " << i;
+    }
+    out.push_back(k - k_prev);
+    k_prev = k;
+  }
+  return out;
+}
+
+TEST(TransientStepGrowth, TimesStayOnTheBaseGridAndNeverBelowDt) {
+  // At rest until a 1 V step at 2 us: the flat start doubles the step up
+  // to max_dt, the edge sends it back to dt, and the settling tail grows
+  // it again as the truncation estimate allows.
+  RcCircuit rc([](double t) { return t > 2e-6 ? 1.0 : 0.0; });
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 20.003e-6;  // not a multiple of dt: the last step clips
+  options.max_dt = 1e-6;
+  const TranResult r = rc.run(options);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.time.back(), options.t_stop);
+  const std::vector<long long> k = strides(r, options);
+  long long longest = 0;
+  for (std::size_t i = 0; i + 1 < k.size(); ++i) {  // the last one clips
+    EXPECT_GE(k[i], 1) << "step " << i;
+    EXPECT_EQ(k[i] & (k[i] - 1), 0) << "step " << i << " is " << k[i];
+    if (i > 0) {
+      EXPECT_LE(k[i], 2 * k[i - 1]) << "step " << i;
+    }
+    EXPECT_LE(static_cast<double>(k[i]) * options.dt, options.max_dt);
+    longest = std::max(longest, k[i]);
+  }
+  EXPECT_GE(k.back(), 1);
+  EXPECT_GT(longest, 8);  // the settled tail did grow
+}
+
+TEST(TransientStepGrowth, MatchesTheFixedGridUntilItsFirstLongerStep) {
+  RcCircuit rc(unit_step);
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 20e-6;
+  const TranResult fixed = rc.run(options);
+  options.max_dt = 1e-6;
+  const TranResult grown = rc.run(options);
+  ASSERT_TRUE(fixed.converged);
+  ASSERT_TRUE(grown.converged);
+  std::size_t first_long = 1;
+  while (first_long < grown.time.size() &&
+         grown.time[first_long] == fixed.time[first_long])
+    ++first_long;
+  ASSERT_LT(first_long, grown.time.size()) << "the run never grew its step";
+  EXPECT_GT(grown.time[first_long], fixed.time[first_long]);
+  for (std::size_t k = 0; k < first_long; ++k)
+    for (std::size_t i = 0; i < fixed.solutions[k].size(); ++i)
+      EXPECT_EQ(grown.solutions[k][i], fixed.solutions[k][i])
+          << "point " << k << " unknown " << i;
+}
+
+TEST(TransientStepGrowth, RcStepEndsWithinTheNewtonToleranceInFewerSteps) {
+  RcCircuit rc(unit_step);
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 20e-6;
+  const TranResult fixed = rc.run(options);
+  options.max_dt = options.t_stop;
+  const TranResult grown = rc.run(options);
+  ASSERT_TRUE(fixed.converged);
+  ASSERT_TRUE(grown.converged);
+  EXPECT_EQ(grown.time.back(), fixed.time.back());
+  EXPECT_NEAR(grown.node_voltage(rc.out).back(),
+              fixed.node_voltage(rc.out).back(), 10.0 * options.newton.vntol);
+  EXPECT_LT(grown.time.size(), fixed.time.size());
+}
+
+TEST(TransientStepGrowth, SeedOnAnotherGridLeavesTheRunUnseeded) {
+  // The seed shares every other time point with the run but never both
+  // ends of a step, so no step may seed.  Its solutions are poisoned
+  // (+100 V per point) so that any use would show.
+  RcCircuit rc(unit_step);
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 1e-6;
+  options.newton.max_iterations = 8;
+  const TranResult unseeded = rc.run(options);
+  ASSERT_TRUE(unseeded.converged);
+
+  TranOptions coarse = options;
+  coarse.dt = 2.0 * options.dt;
+  TranResult seed = rc.run(coarse);
+  ASSERT_TRUE(seed.converged);
+  for (std::size_t k = 0; k < seed.solutions.size(); ++k)
+    seed.solutions[k].fill(100.0 * static_cast<double>(k));
+  options.seed = &seed;
+  const TranResult seeded = rc.run(options);
+
+  ASSERT_TRUE(seeded.converged);
+  EXPECT_EQ(seeded.newton_iterations, unseeded.newton_iterations);
+  ASSERT_EQ(seeded.time, unseeded.time);
+  for (std::size_t k = 0; k < unseeded.solutions.size(); ++k)
+    for (std::size_t i = 0; i < unseeded.solutions[k].size(); ++i)
+      EXPECT_EQ(seeded.solutions[k][i], unseeded.solutions[k][i])
+          << "point " << k << " unknown " << i;
+}
+
+TEST(TransientStepGrowth, FailedLongerStepRetriesAtTheBaseStep) {
+  // At rest until a 5 V ramp over 1.5..1.6 us: the step grows to 64 dt
+  // (640 ns) on the flat start, and the step from 1.28 us to 1.92 us
+  // meets the whole 5 V edge, which the 0.4 V damping clamp cannot walk
+  // in 8 Newton iterations.  Halving that step still meets the whole
+  // edge; only the retry at dt (1.28 -> 1.29 us, still flat) converges.
+  RcCircuit rc([](double t) {
+    return std::clamp((t - 1.5e-6) / 100e-9, 0.0, 1.0) * 5.0;
+  });
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 3e-6;
+  options.newton.max_iterations = 8;
+  ASSERT_TRUE(rc.run(options).converged);  // the fixed grid manages too
+  options.max_dt = 640e-9;
+  const TranResult r = rc.run(options);
+  ASSERT_TRUE(r.converged);
+  strides(r, options);  // every time on the k * dt grid
+  const auto before =
+      std::find(r.time.begin(), r.time.end(), 128.0 * options.dt);
+  ASSERT_NE(before, r.time.end());
+  ASSERT_NE(before + 1, r.time.end());
+  EXPECT_EQ(*(before + 1), 129.0 * options.dt);
+}
+
+TEST(TransientStepGrowth, Bdf2RejectsStepGrowth) {
+  // The growth rule estimates backward Euler's truncation error.
+  RcCircuit rc(unit_step);
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 100e-9;
+  options.method = TranMethod::kBdf2;
+  options.max_dt = 2.0 * options.dt;
+  EXPECT_THROW(rc.run(options), std::invalid_argument);
+  options.max_dt = options.dt;  // no growth possible
+  EXPECT_TRUE(rc.run(options).converged);
 }
 
 TEST(SlopeHelpers, MaxSlope) {
