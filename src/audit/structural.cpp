@@ -1,10 +1,11 @@
 #include "audit/structural.hpp"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "circuit/mna_names.hpp"
 #include "circuit/stamp.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/system_matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -13,16 +14,13 @@ namespace {
 
 /// Kuhn's augmenting-path step: try to match `row` to some column,
 /// displacing previous matches along alternating paths.
-bool try_match(int row, const linalg::CsrPattern& pattern,
+bool try_match(int row, const std::vector<std::vector<int>>& cols_of_row,
                std::vector<char>& visited, std::vector<int>& match_of_col) {
-  const std::vector<int>& row_ptr = pattern.row_ptr();
-  const std::vector<int>& col_idx = pattern.col_idx();
-  for (int k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-    const int col = col_idx[k];
+  for (const int col : cols_of_row[static_cast<std::size_t>(row)]) {
     if (visited[col]) continue;
     visited[col] = 1;
     if (match_of_col[col] < 0 ||
-        try_match(match_of_col[col], pattern, visited, match_of_col)) {
+        try_match(match_of_col[col], cols_of_row, visited, match_of_col)) {
       match_of_col[col] = row;
       return true;
     }
@@ -36,32 +34,37 @@ void audit_structural(const circuit::Netlist& netlist, AuditReport& report) {
   const std::size_t n = netlist.system_size();
   if (n == 0) return;
 
-  // Stamp at x = 0 in sparse discovery mode: every add (including exact
-  // zeros from cut-off devices) lands in the pattern, so this is the
-  // structural nonzero set of the DC Jacobian for any operating point.
+  // Stamp at x = 0 in pattern mode: every add (including exact zeros from
+  // cut-off devices) is recorded, so this is the structural nonzero set
+  // of the DC Jacobian for any operating point.
+  std::vector<std::pair<int, int>> positions;
   linalg::SystemMatrix system;
-  system.begin_sparse(n, /*with_jomega=*/false);
+  system.record_pattern(n, positions);
   linalg::Vector x(n);
   linalg::Vector residual(n);
   const circuit::Conditions conditions;
   circuit::DcStamp stamp(x, system, residual, netlist.num_nodes(), conditions);
   for (const auto& device : netlist) device->stamp_dc(stamp);
-  system.end_stamp();
-  const linalg::CsrPattern& pattern = system.pattern();
+
+  // Columns of each row in ascending order: the matching visits them in
+  // this order, which fixes the columns an AUD-011 names.
+  std::vector<std::vector<int>> cols_of_row(n);
+  for (const auto& [row, col] : positions)
+    cols_of_row[static_cast<std::size_t>(row)].push_back(col);
+  for (std::vector<int>& cols : cols_of_row)
+    std::sort(cols.begin(), cols.end());
 
   // Maximum bipartite matching = exact structural rank.
   std::vector<int> match_of_col(n, -1);
   std::vector<char> matched_row(n, 0);
   for (std::size_t row = 0; row < n; ++row) {
     std::vector<char> visited(n, 0);
-    if (try_match(static_cast<int>(row), pattern, visited, match_of_col))
+    if (try_match(static_cast<int>(row), cols_of_row, visited, match_of_col))
       matched_row[row] = 1;
   }
 
-  bool full_rank = true;
   for (std::size_t row = 0; row < n; ++row) {
     if (matched_row[row]) continue;
-    full_rank = false;
     report.add({
         "AUD-010",
         Severity::kError,
@@ -76,7 +79,6 @@ void audit_structural(const circuit::Netlist& netlist, AuditReport& report) {
   }
   for (std::size_t col = 0; col < n; ++col) {
     if (match_of_col[col] >= 0) continue;
-    full_rank = false;
     report.add({
         "AUD-011",
         Severity::kError,
@@ -86,29 +88,6 @@ void audit_structural(const circuit::Netlist& netlist, AuditReport& report) {
         circuit::mna_unknown_name(netlist, col),
         "no device couples this unknown into a usable equation; check the "
         "connectivity findings for the underlying cause",
-    });
-  }
-  if (!full_rank) return;
-
-  // The pattern admits a perfect matching; run the exact pattern-only
-  // analysis the sparse numeric backend would (all-ones magnitudes).  A
-  // failure here means every pivot order the backend could choose hits a
-  // structurally zero pivot.
-  linalg::SymbolicLu symbolic;
-  const std::vector<double> ones(pattern.nnz(), 1.0);
-  try {
-    symbolic.analyze(pattern, ones);
-  } catch (const linalg::SingularMatrixError& e) {
-    report.add({
-        "AUD-012",
-        Severity::kError,
-        "symbolic LU found no admissible pivot at elimination step " +
-            std::to_string(e.pivot_index()) +
-            "; sparse factorization of this topology will fail",
-        "system",
-        "",
-        "the pattern is degenerate despite a full structural rank; check "
-        "the connectivity findings for redundant ideal branches",
     });
   }
 }

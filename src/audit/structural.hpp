@@ -1,19 +1,13 @@
 // mayo/audit -- structural-rank prediction for the MNA system.
 //
-// Builds the structural MNA pattern by stamping the netlist at x = 0 into
-// a sparse-discovery SystemMatrix (discovery mode records every add, even
+// Records the structural MNA pattern by stamping the netlist at x = 0
+// into a pattern-mode SystemMatrix (every add is recorded, even
 // value-zero ones, so the pattern is the full structural nonzero set).
-// Then:
-//
-//   1. Maximum bipartite matching (Kuhn) over the pattern gives the exact
-//      structural rank.  An unmatched row is an equation with no
-//      assignable unknown (AUD-010); an unmatched column is an unknown no
-//      equation can determine (AUD-011).  Both name the node / branch via
-//      circuit::mna_names.
-//   2. When the matching is complete, the same pattern-only SymbolicLu
-//      analysis the sparse numeric backend runs (all-ones magnitudes) is
-//      attempted; a failure there is AUD-012 -- the factorization is
-//      guaranteed to hit a structurally zero pivot.
+// A maximum bipartite matching (Kuhn) over that pattern gives the exact
+// structural rank.  An unmatched row is an equation with no assignable
+// unknown (AUD-010); an unmatched column is an unknown no equation can
+// determine (AUD-011).  Both name the node / branch via
+// circuit::mna_names.
 //
 // A clean structural audit does NOT guarantee a nonsingular matrix
 // (values can still cancel, e.g. a ring of voltage sources); combined

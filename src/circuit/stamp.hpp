@@ -2,8 +2,9 @@
 //
 // The simulator owns the system matrices; devices contribute ("stamp")
 // their currents, conductances and admittances through these small view
-// classes into a backend-neutral linalg::SystemMatrix (dense workspace or
-// sparse CSR -- the engines pick, devices never know).  Conventions:
+// classes into a linalg::SystemMatrix (the engines' dense LU workspace, or
+// the structural audit's position list -- devices never know which).
+// Conventions:
 //
 //   * Unknown vector x = [node voltages v_1..v_{n-1}, branch currents].
 //     Node 0 is ground and is eliminated; stamps addressed at ground are

@@ -27,7 +27,6 @@
 #include "circuits/opamp.hpp"
 #include "circuits/process.hpp"
 #include "core/problem.hpp"
-#include "linalg/system_matrix.hpp"
 
 namespace mayo::circuits {
 
@@ -70,10 +69,6 @@ class FoldedCascode final : public OpampModel {
     double sr_step = 0.5;       ///< input step of the slew bench [V]
     double sr_t_stop = 120e-9;  ///< transient duration [s]
     double sr_dt = 0.5e-9;      ///< transient base step [s]
-    /// Linear-solver backend selection for every bench solve (kAuto keeps
-    /// this opamp-scale netlist on the dense fast path; tests force
-    /// kSparse to pin dense/sparse equivalence).
-    linalg::SolverOptions solver;
   };
 
   FoldedCascode();  ///< default options

@@ -102,8 +102,7 @@ Miller::Miller(Options options)
                   .sr_t_stop = options.sr_t_stop,
                   .sr_dt = options.sr_dt,
                   .theta_nominal = {options.process.envelope.temp_nom_k,
-                                    options.process.envelope.vdd_nom},
-                  .solver = options.solver},
+                                    options.process.envelope.vdd_nom}},
                  build_bench(options, /*unity=*/false),
                  build_bench(options, /*unity=*/true)),
       options_(std::move(options)) {}

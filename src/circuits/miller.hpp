@@ -21,7 +21,6 @@
 #include "circuits/opamp.hpp"
 #include "circuits/process.hpp"
 #include "core/problem.hpp"
-#include "linalg/system_matrix.hpp"
 
 namespace mayo::circuits {
 
@@ -62,10 +61,6 @@ class Miller final : public OpampModel {
     double sr_step = 0.5;       ///< input step of the slew bench [V]
     double sr_t_stop = 1.2e-6;  ///< transient duration [s]
     double sr_dt = 4e-9;        ///< transient base step [s]
-    /// Linear-solver backend selection for every bench solve (kAuto keeps
-    /// this opamp-scale netlist on the dense fast path; tests force
-    /// kSparse to pin dense/sparse equivalence).
-    linalg::SolverOptions solver;
   };
 
   Miller();  ///< default options

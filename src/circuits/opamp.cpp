@@ -57,9 +57,7 @@ OpampModel::OpampModel(Setup setup, std::unique_ptr<Bench> ac_bench,
       ac_bench_(std::move(ac_bench)),
       sr_bench_(std::move(sr_bench)),
       contexts_(kContextCapacity, nullptr,
-                &obs::registry().counters.design_context) {
-  ac_session_.set_solver(setup_.solver);
-}
+                &obs::registry().counters.design_context) {}
 
 OpampModel::~OpampModel() = default;
 
@@ -78,7 +76,6 @@ OpampModel::DesignContext& OpampModel::design_context(const Vector& d,
 sim::DcResult OpampModel::solve_op(Bench& bench, const Conditions& conditions,
                                    const Vector* warm_start) {
   sim::DcOptions dc;
-  dc.solver = setup_.solver;
   dc.workspace = &bench.newton;
   return sim::solve_dc(bench.netlist, conditions, dc, warm_start);
 }
@@ -109,7 +106,6 @@ sim::TranResult OpampModel::step_response(const Vector& op,
   // The input steps at t = 0+ and the output settles well before t_stop,
   // so the step may grow up to the whole run on the flat tail.
   tran.max_dt = setup_.sr_t_stop;
-  tran.newton.solver = setup_.solver;
   tran.newton.workspace = &sr.newton;
   tran.seed = seed;
   sim::TranResult tr =

@@ -28,7 +28,6 @@
 #include "circuit/netlist.hpp"
 #include "core/probe_cache.hpp"
 #include "core/problem.hpp"
-#include "linalg/system_matrix.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -117,9 +116,9 @@ class OpampModel : public core::PerformanceModel {
     circuit::Netlist netlist;
     /// Newton linear-system workspace of this bench's DC and transient
     /// solves (one per bench: the benches differ in size, and sharing one
-    /// would thrash the sparse pattern and symbolic analysis on every
-    /// alternation).  It carries cost between calls, never results;
-    /// clone() gives each parallel worker fresh ones.
+    /// would reallocate the LU workspace on every alternation).  It
+    /// carries cost between calls, never results; clone() gives each
+    /// parallel worker fresh ones.
     sim::LinearSystem newton;
     std::vector<circuit::Mosfet*> signal;  ///< constraint order
     circuit::VoltageSource* vdd = nullptr;
@@ -138,7 +137,6 @@ class OpampModel : public core::PerformanceModel {
     double sr_t_stop = 0.0;                 ///< transient duration [s]
     double sr_dt = 0.0;                     ///< transient base step [s]
     linalg::Vector theta_nominal;           ///< operating point of constraints
-    linalg::SolverOptions solver;           ///< backend of every bench solve
   };
 
   OpampModel(Setup setup, std::unique_ptr<Bench> ac_bench,

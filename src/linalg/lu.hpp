@@ -134,7 +134,7 @@ class Lu {
     if (lu_.rows() != lu_.cols())
       throw std::invalid_argument("Lu: matrix must be square");
     const std::size_t n = lu_.rows();
-    perm_.resize(n);
+    perm_.resize(n);  // hot-ok: no allocation when n is unchanged
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
     sign_ = 1;
 

@@ -1,64 +1,29 @@
-// mayo/linalg -- backend-neutral stamping target for MNA assembly.
+// mayo/linalg -- stamping target for MNA assembly.
 //
 // Devices in src/circuit/stamp.hpp accumulate conductances into "the
-// system matrix" without knowing how it is stored.  SystemMatrix is that
+// system matrix" without knowing where it is stored.  SystemMatrix is that
 // target, in one of two modes:
 //
-//   dense  -- binds caller-owned Matrixd buffers (the dense LU
-//             workspaces); add() forwards with the identical `+=` the
-//             devices used before this boundary existed, so the dense
-//             path is bit-for-bit unchanged.
-//   sparse -- owns one union CSR pattern with parallel value arrays for
-//             the real (G) part and the j*omega-scaled (C) part.  The
-//             first stamp pass discovers the pattern from triplets;
-//             every later pass over the same topology is a zero + O(log)
-//             slot write per stamp.  An add outside the known pattern
-//             (topology change) is collected and triggers a
-//             deterministic pattern rebuild at end_stamp(), bumping
-//             `pattern_epoch()` so cached SymbolicLu analyses invalidate.
+//   dense   -- binds caller-owned Matrixd buffers (the dense LU
+//              workspaces); add() forwards with the identical `+=` the
+//              devices used before this boundary existed, so the dense
+//              path is bit-for-bit unchanged.
+//   pattern -- appends the (row, col) of every add to a caller-owned
+//              list, value-zero adds included, so a structural pass sees
+//              every position the devices stamp (audit/structural.cpp).
 //
-// There is no virtual dispatch: one branch per add in sparse mode, a
-// pointer indirection in dense mode, both far below the cost of the
-// device evaluation producing the value.
+// There is no virtual dispatch: one pointer test per add, far below the
+// cost of the device evaluation producing the value.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/check.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 
 namespace mayo::linalg {
-
-/// Linear-solver backend selection for the simulation engines.
-enum class SolverBackend {
-  kAuto,    ///< dense below sparse_threshold, sparse at or above it
-  kDense,   ///< force the dense LU path
-  kSparse,  ///< force the sparse symbolic-once path
-};
-
-/// kAuto switches to sparse at this system size.  Opamp-scale netlists
-/// (tens of unknowns) stay on the dense fast path; the scaling netlists
-/// and anything mesh-sized go sparse (see BENCH_sparse_mna.json for the
-/// measured crossover).
-inline constexpr std::size_t kDefaultSparseThreshold = 64;
-
-/// Backend knobs threaded through DcOptions / TranOptions / AcSession
-/// and the circuit-model Options.
-struct SolverOptions {
-  SolverBackend backend = SolverBackend::kAuto;
-  std::size_t sparse_threshold = kDefaultSparseThreshold;
-};
-
-/// The backend-selection rule, in one place.
-inline bool use_sparse(const SolverOptions& options, std::size_t n) {
-  if (options.backend == SolverBackend::kDense) return false;
-  if (options.backend == SolverBackend::kSparse) return true;
-  return n >= options.sparse_threshold;
-}
 
 class SystemMatrix {
  public:
@@ -69,23 +34,23 @@ class SystemMatrix {
   /// buffers stay caller-owned and caller-zeroed -- exactly the dense
   /// engines' pre-boundary behavior.
   void bind_dense(Matrixd& real, Matrixd* jomega = nullptr) {
-    mode_ = Mode::kDense;
     n_ = real.rows();
     dense_real_ = &real;
     dense_jomega_ = jomega;
+    positions_ = nullptr;
   }
 
-  /// Sparse mode: starts a stamp pass for an n x n system.  Reuses the
-  /// existing pattern when the size matches (zeroing the value arrays);
-  /// otherwise the pass runs in discovery mode collecting triplets.
-  void begin_sparse(std::size_t n, bool with_jomega);
+  /// Pattern mode for an n x n system: every add() and add_jomega()
+  /// appends its (row, col) to `positions`, in call order, whatever the
+  /// value.  The list stays caller-owned and is not cleared here.
+  void record_pattern(std::size_t n,
+                      std::vector<std::pair<int, int>>& positions) {
+    n_ = n;
+    dense_real_ = nullptr;
+    dense_jomega_ = nullptr;
+    positions_ = &positions;
+  }
 
-  /// Finalizes a sparse stamp pass: builds or rebuilds the union pattern
-  /// when discovery or an out-of-pattern add occurred (bumping the
-  /// epoch).  No-op in dense mode and on a steady-state sparse pass.
-  void end_stamp();
-
-  bool sparse() const { return mode_ == Mode::kSparse; }
   std::size_t size() const { return n_; }
 
   /// Accumulates into the real (G) part.
@@ -94,11 +59,11 @@ class SystemMatrix {
                 "SystemMatrix::add: row out of range");
     MAYO_ASSERT(col >= 0 && static_cast<std::size_t>(col) < n_,
                 "SystemMatrix::add: col out of range");
-    if (mode_ == Mode::kDense) {
-      (*dense_real_)(row, col) += value;
+    if (positions_ != nullptr) {
+      positions_->emplace_back(row, col);
       return;
     }
-    add_sparse(row, col, value, 0.0);
+    (*dense_real_)(row, col) += value;
   }
 
   /// Accumulates into the j*omega-scaled (C) part.
@@ -107,53 +72,20 @@ class SystemMatrix {
                 "SystemMatrix::add_jomega: row out of range");
     MAYO_ASSERT(col >= 0 && static_cast<std::size_t>(col) < n_,
                 "SystemMatrix::add_jomega: col out of range");
-    if (mode_ == Mode::kDense) {
-      MAYO_ASSERT(dense_jomega_ != nullptr,
-                  "SystemMatrix::add_jomega: no jomega target bound");
-      (*dense_jomega_)(row, col) += value;
+    if (positions_ != nullptr) {
+      positions_->emplace_back(row, col);
       return;
     }
-    add_sparse(row, col, 0.0, value);
+    MAYO_ASSERT(dense_jomega_ != nullptr,
+                "SystemMatrix::add_jomega: no jomega target bound");
+    (*dense_jomega_)(row, col) += value;
   }
 
-  // -- sparse-mode accessors (valid after end_stamp()) --
-  const CsrPattern& pattern() const { return pattern_; }
-  const std::vector<double>& values() const { return values_; }
-  const std::vector<double>& jomega_values() const { return jomega_values_; }
-
-  /// Bumped every time the sparse pattern is (re)built; a cached
-  /// SymbolicLu stays valid exactly while the epoch is unchanged.
-  std::uint64_t pattern_epoch() const { return epoch_; }
-
  private:
-  enum class Mode { kUnbound, kDense, kSparse };
-
-  void add_sparse(int row, int col, double value, double jomega_value);
-  void rebuild_pattern();
-
-  Mode mode_ = Mode::kUnbound;
   std::size_t n_ = 0;
-
-  // dense mode
   Matrixd* dense_real_ = nullptr;
   Matrixd* dense_jomega_ = nullptr;
-
-  // sparse mode
-  bool with_jomega_ = false;
-  bool discovering_ = false;
-  CsrPattern pattern_;
-  std::vector<double> values_;         // G per pattern slot
-  std::vector<double> jomega_values_;  // C per pattern slot (may be empty)
-  // (row, col, g, c) adds collected during discovery or after an
-  // out-of-pattern stamp; folded into the pattern at end_stamp().
-  struct Triplet {
-    int row;
-    int col;
-    double value;
-    double jomega_value;
-  };
-  std::vector<Triplet> overflow_;
-  std::uint64_t epoch_ = 0;
+  std::vector<std::pair<int, int>>* positions_ = nullptr;
 };
 
 }  // namespace mayo::linalg

@@ -20,23 +20,12 @@ using linalg::Matrixd;
 using linalg::Vector;
 using linalg::VectorC;
 
-void AcSession::rethrow_singular(const linalg::SingularMatrixError& error,
-                                 bool symbolic_failure) const {
+void AcSession::rethrow_singular(
+    const linalg::SingularMatrixError& error) const {
   if (netlist_ == nullptr || netlist_->system_size() != n_) throw error;
   const std::size_t step = error.pivot_index();
   std::string message(error.what());
-  if (symbolic_failure) {
-    message += " (structurally singular AC system; run the netlist audit "
-               "for the offending nodes)";
-  } else if (sparse_active_) {
-    const auto row = static_cast<std::size_t>(symbolic_.row_perm()[step]);
-    const auto col = static_cast<std::size_t>(symbolic_.col_of_pos()[step]);
-    message += " (equation: " + circuit::mna_equation_name(*netlist_, row) +
-               "; unknown: " + circuit::mna_unknown_name(*netlist_, col) + ")";
-  } else {
-    message +=
-        " (unknown: " + circuit::mna_unknown_name(*netlist_, step) + ")";
-  }
+  message += " (unknown: " + circuit::mna_unknown_name(*netlist_, step) + ")";
   throw linalg::SingularMatrixError(step, message);
 }
 
@@ -48,45 +37,20 @@ void AcSession::stamp(const Netlist& netlist, const Vector& operating_point,
   netlist_ = &netlist;
   n_ = netlist.system_size();
   num_nodes_ = netlist.num_nodes();
-  sparse_active_ = linalg::use_sparse(solver_, n_);
-  if (sparse_active_) {
-    system_.begin_sparse(n_, /*with_jomega=*/true);
+  if (g_.rows() != n_ || g_.cols() != n_) {
+    g_ = Matrixd(n_, n_);  // hot-ok: first stamp of this size only
+    c_ = Matrixd(n_, n_);  // hot-ok: first stamp of this size only
   } else {
-    if (g_.rows() != n_ || g_.cols() != n_) {
-      g_ = Matrixd(n_, n_);  // hot-ok: first stamp of this size only
-      c_ = Matrixd(n_, n_);  // hot-ok: first stamp of this size only
-    } else {
-      g_.set_zero();
-      c_.set_zero();
-    }
-    system_.bind_dense(g_, &c_);
+    g_.set_zero();
+    c_.set_zero();
   }
+  system_.bind_dense(g_, &c_);
   rhs_.assign(n_, std::complex<double>{});
   AcStamp stamp(operating_point, system_, rhs_, num_nodes_, conditions);
   for (const auto& device : netlist) device->stamp_ac(stamp);
   // Tiny shunt keeps floating small-signal nodes well-posed.
   for (std::size_t k = 0; k + 1 < num_nodes_; ++k)
     system_.add(static_cast<int>(k), static_cast<int>(k), 1e-12);
-  system_.end_stamp();
-  if (sparse_active_ && (analyzed_epoch_ != system_.pattern_epoch() ||
-                         !symbolic_.analyzed())) {
-    // Symbolic analysis once per topology: ordered on |G| + |C| per slot,
-    // which is frequency- and operating-point-independent, so restamping
-    // the same pattern (a new operating point, a new sample) reuses it.
-    const std::vector<double>& g = system_.values();
-    const std::vector<double>& c = system_.jomega_values();
-    magnitudes_.resize(g.size());
-    for (std::size_t k = 0; k < g.size(); ++k)
-      magnitudes_[k] = std::abs(g[k]) + std::abs(c[k]);
-    try {
-      symbolic_.analyze(system_.pattern(), magnitudes_.data());
-    } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e, /*symbolic_failure=*/true);
-    }
-    zlu_.bind(symbolic_);
-    az_.assign(g.size(), std::complex<double>{});
-    analyzed_epoch_ = system_.pattern_epoch();
-  }
   obs::registry().counters.ac_stamps.add();
 }
 
@@ -95,31 +59,16 @@ const VectorC& AcSession::solve(double frequency_hz) {
     throw std::logic_error("AcSession::solve: stamp() a netlist first");
   const double omega = 2.0 * std::numbers::pi * frequency_hz;
   solution_.resize(n_);
-  if (sparse_active_) {
-    // Sparse probe: assemble G + j omega C elementwise over the shared
-    // pattern, then a fixed-structure refactor + solve.
-    const std::vector<double>& g = system_.values();
-    const std::vector<double>& c = system_.jomega_values();
-    for (std::size_t k = 0; k < g.size(); ++k)
-      az_[k] = {g[k], omega * c[k]};
-    try {
-      zlu_.refactor(az_.data());
-    } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e, /*symbolic_failure=*/false);
-    }
-    zlu_.solve_into(rhs_.data(), solution_.data());
-  } else {
-    // Assemble overwrites every entry, so skip the workspace zeroing.
-    Matrixc& a = lu_.workspace(n_, /*zero=*/false);
-    linalg::assemble_complex_into(g_.data(), c_.data(), omega, a.data(),
-                                  n_ * n_);
-    try {
-      lu_.refactor();
-    } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e, /*symbolic_failure=*/false);
-    }
-    lu_.solve_into(rhs_.data(), solution_.data());
+  // Assemble overwrites every entry, so skip the workspace zeroing.
+  Matrixc& a = lu_.workspace(n_, /*zero=*/false);
+  linalg::assemble_complex_into(g_.data(), c_.data(), omega, a.data(),
+                                n_ * n_);
+  try {
+    lu_.refactor();
+  } catch (const linalg::SingularMatrixError& e) {
+    rethrow_singular(e);
   }
+  lu_.solve_into(rhs_.data(), solution_.data());
   obs::registry().counters.ac_probes.add();
   return solution_;
 }

@@ -14,13 +14,10 @@
 #include <complex>
 #include <vector>
 
-#include <cstdint>
-
 #include "audit/audit.hpp"
 #include "circuit/netlist.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/system_matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -50,15 +47,10 @@ class AcSession {
              const linalg::Vector& operating_point,
              const circuit::Conditions& conditions);
 
-  /// Selects the linear-solver backend; takes effect at the next stamp().
-  void set_solver(const linalg::SolverOptions& options) { solver_ = options; }
-  const linalg::SolverOptions& solver() const { return solver_; }
   /// Pre-stamp netlist audit (Debug default, opt-in in Release); takes
   /// effect at the next stamp().  Capacitors count as conduction edges --
   /// they stamp admittances in the small-signal system.
   void set_audit(audit::Enforce enforce) { audit_ = enforce; }
-  /// True when the stamped system runs on the sparse backend.
-  bool sparse_active() const { return sparse_active_; }
 
   bool stamped() const { return n_ > 0; }
   std::size_t size() const { return n_; }
@@ -75,33 +67,22 @@ class AcSession {
 
  private:
   /// Rethrows a zero-pivot error with MNA index -> node/branch names.
-  [[noreturn]] void rethrow_singular(const linalg::SingularMatrixError& error,
-                                     bool symbolic_failure) const;
+  [[noreturn]] void rethrow_singular(
+      const linalg::SingularMatrixError& error) const;
 
   std::size_t n_ = 0;
   std::size_t num_nodes_ = 0;
-  linalg::SolverOptions solver_;
   audit::Enforce audit_ = audit::Enforce::kDefault;
   /// Diagnostic context for singular-system messages; set by stamp() and
   /// read only on error paths.  The caller's netlist must outlive the
   /// session's solves (already implied by the stamp-once usage pattern).
   const circuit::Netlist* netlist_ = nullptr;
-  bool sparse_active_ = false;
-  linalg::SystemMatrix system_;  ///< stamping target, both backends
+  linalg::SystemMatrix system_;  ///< stamping target bound to g_ and c_
   linalg::VectorC rhs_;          ///< complex excitation
   linalg::VectorC solution_;
-  // dense backend: split G / C matrices bound into system_, assembled
-  // into the complex LU workspace per probe
   linalg::Matrixd g_;  ///< real (frequency-independent) part
   linalg::Matrixd c_;  ///< j-omega-scaled part
-  linalg::Luc lu_;     ///< reusable complex factor workspace
-  // sparse backend: one symbolic analysis per pattern epoch, complex
-  // values assembled elementwise over the shared pattern per probe
-  linalg::SymbolicLu symbolic_;
-  linalg::SparseLuc zlu_;
-  linalg::VectorC az_;              ///< per-probe G + j omega C over nnz
-  std::vector<double> magnitudes_;  ///< symbolic input, |g| + |c| per slot
-  std::uint64_t analyzed_epoch_ = 0;
+  linalg::Luc lu_;     ///< reusable complex factor workspace, per probe
 };
 
 /// Solves the AC system at a single frequency [Hz] with a fresh session.

@@ -41,7 +41,7 @@ bool newton(Netlist& netlist, const Conditions& conditions,
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++iteration_counter;
-    linalg::SystemMatrix& jacobian = system.begin(n, options.solver);
+    linalg::SystemMatrix& jacobian = system.begin(n);
     residual.fill(0.0);
     DcStamp stamp(x, jacobian, residual, num_nodes, conditions);
     for (const auto& device : netlist) device->stamp_dc(stamp);
@@ -115,8 +115,8 @@ DcResult solve_dc_impl(Netlist& netlist, const Conditions& conditions,
                         ? *initial
                         : Vector(netlist.system_size());
   // One linear-system workspace serves every Newton attempt of this solve
-  // (the caller-owned one when provided, so its symbolic analysis and
-  // factor buffers stay warm across solves).
+  // (the caller-owned one when provided, so its factor buffers stay
+  // allocated across solves).
   LinearSystem local_system;
   LinearSystem& system =
       options.workspace != nullptr ? *options.workspace : local_system;

@@ -3,17 +3,14 @@
 // Damped Newton-Raphson on the MNA residual with two convergence aids:
 // gmin stepping (a shunt conductance from every node to ground, swept from
 // large to negligible) and source stepping (ramping all independent sources
-// from zero).  Systems assemble through the backend-neutral
-// sim::LinearSystem boundary: dense LU below the sparse threshold (tens of
-// nodes, where dense beats any sparse machinery) and the symbolic-once
-// sparse backend above it (see linalg/sparse.hpp).
+// from zero).  Each Newton iteration stamps and factors through the
+// sim::LinearSystem boundary (dense LU with partial pivoting).
 #pragma once
 
 #include <cstddef>
 
 #include "audit/audit.hpp"
 #include "circuit/netlist.hpp"
-#include "linalg/system_matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mayo::sim {
@@ -29,16 +26,14 @@ struct DcOptions {
   double gmin_floor = 1e-12;     ///< shunt conductance kept in all solves [S]
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
-  /// Backend selection (dense small-n fast path vs sparse symbolic-once).
-  linalg::SolverOptions solver;
   /// Pre-solve netlist audit (connectivity + plausibility, no structural
   /// pass): always in Debug builds, opt-in (kOn) in Release.  Errors
   /// throw audit::AuditError before the first Newton iteration.
   audit::Enforce audit = audit::Enforce::kDefault;
   /// Optional caller-owned solver workspace reused across solve_dc calls:
-  /// keeps the factored structures (and in sparse mode the symbolic
-  /// analysis) warm across Newton attempts, probes and samples.  May be
-  /// null; a workspace must not be shared between threads.
+  /// keeps the LU workspace allocated across Newton attempts, probes and
+  /// samples.  May be null; a workspace must not be shared between
+  /// threads.
   LinearSystem* workspace = nullptr;
 };
 

@@ -1,85 +1,37 @@
 #include "sim/solver.hpp"
 
-#include <cmath>
 #include <string>
 
 #include "circuit/mna_names.hpp"
 
 namespace mayo::sim {
 
-linalg::SystemMatrix& LinearSystem::begin(
-    std::size_t n, const linalg::SolverOptions& options) {
-  sparse_active_ = linalg::use_sparse(options, n);
-  if (sparse_active_)
-    system_.begin_sparse(n, /*with_jomega=*/false);
-  else
-    system_.bind_dense(dense_.workspace(n));
+linalg::SystemMatrix& LinearSystem::begin(std::size_t n) {
+  system_.bind_dense(dense_.workspace(n));
   return system_;
 }
 
-void LinearSystem::rethrow_singular(const linalg::SingularMatrixError& error,
-                                    bool symbolic_failure) {
+void LinearSystem::rethrow_singular(const linalg::SingularMatrixError& error) {
   if (netlist_ == nullptr || netlist_->system_size() != system_.size())
     throw error;
   const std::size_t step = error.pivot_index();
+  // Partial pivoting fails when column `step` has no nonzero left below
+  // the diagonal, so the step names the original unknown.
   std::string message(error.what());
-  if (symbolic_failure) {
-    // The analysis ran out of admissible pivots; the step is in permuted
-    // space with no single original row/col to blame.
-    message += " (structurally singular MNA system; run the netlist audit "
-               "for the offending nodes)";
-  } else if (sparse_active_) {
-    const auto row = static_cast<std::size_t>(symbolic_.row_perm()[step]);
-    const auto col = static_cast<std::size_t>(symbolic_.col_of_pos()[step]);
-    message += " (equation: " + circuit::mna_equation_name(*netlist_, row) +
-               "; unknown: " + circuit::mna_unknown_name(*netlist_, col) + ")";
-  } else {
-    // Dense partial pivoting fails when column `step` has no nonzero left
-    // below the diagonal, so the step names the original unknown.
-    message +=
-        " (unknown: " + circuit::mna_unknown_name(*netlist_, step) + ")";
-  }
+  message += " (unknown: " + circuit::mna_unknown_name(*netlist_, step) + ")";
   throw linalg::SingularMatrixError(step, message);
 }
 
 void LinearSystem::factor() {
-  if (!sparse_active_) {
-    try {
-      dense_.refactor();
-    } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e, /*symbolic_failure=*/false);
-    }
-    return;
-  }
-  system_.end_stamp();
-  if (analyzed_epoch_ != system_.pattern_epoch() || !symbolic_.analyzed()) {
-    // First factorization of this topology: run the symbolic analysis on
-    // the current values' magnitudes and keep it for every later
-    // refactor (sparse.symbolic stays flat while sparse.refactor grows).
-    const std::vector<double>& values = system_.values();
-    magnitudes_.resize(values.size());
-    for (std::size_t k = 0; k < values.size(); ++k)
-      magnitudes_[k] = std::abs(values[k]);
-    try {
-      symbolic_.analyze(system_.pattern(), magnitudes_.data());
-    } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e, /*symbolic_failure=*/true);
-    }
-    sparse_.bind(symbolic_);
-    analyzed_epoch_ = system_.pattern_epoch();
-  }
   try {
-    sparse_.refactor(system_.values().data());
+    dense_.refactor();
   } catch (const linalg::SingularMatrixError& e) {
-    rethrow_singular(e, /*symbolic_failure=*/false);
+    rethrow_singular(e);
   }
 }
 
 void LinearSystem::solve_into(const double* b, double* x) {
-  if (sparse_active_)
-    sparse_.solve_into(b, x);
-  else
-    dense_.solve_into(b, x);
+  dense_.solve_into(b, x);
 }
 
 }  // namespace mayo::sim

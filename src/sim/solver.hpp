@@ -1,30 +1,22 @@
-// mayo/sim -- the unified real linear-system boundary of the Newton
-// engines (DC and transient).
+// mayo/sim -- the real linear-system boundary of the Newton engines (DC
+// and transient).
 //
 // One LinearSystem owns everything a stamp -> factor -> solve cycle
-// needs, in either backend:
-//
-//   dense  -- the SystemMatrix binds the dense LU workspace and factor()
-//             is exactly the pre-boundary `Lud::refactor()`: identical
-//             arithmetic, identical pivoting, bit-for-bit results.
-//   sparse -- the SystemMatrix owns a CSR pattern; the symbolic analysis
-//             is computed once per pattern epoch (first factorization of
-//             a topology) and every later Newton iteration, probe, or
-//             sample is a fixed-pattern numeric refactor + solve.
+// needs: the SystemMatrix binds the dense LU workspace and factor() is
+// exactly `Lud::refactor()` -- identical arithmetic, identical pivoting,
+// bit-for-bit the pre-boundary results.
 //
 // Engines accept a caller-owned LinearSystem through their options
 // (DcOptions::workspace, reached by transient via TranOptions::newton),
-// which is how the circuit models keep the symbolic analysis warm across
+// which is how the circuit models keep the LU workspace allocated across
 // every probe of a (design, conditions) context.  A LinearSystem is not
 // thread-safe; parallel workers use their own (the models' clone() gives
 // each worker fresh workspaces, certified by tools/analyze.py).
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "linalg/lu.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/system_matrix.hpp"
 
 namespace mayo::circuit {
@@ -36,9 +28,8 @@ namespace mayo::sim {
 class LinearSystem {
  public:
   /// Starts a stamp pass for an n x n system and returns the zeroed
-  /// stamping target.  The backend is chosen here (linalg::use_sparse).
-  linalg::SystemMatrix& begin(std::size_t n,
-                              const linalg::SolverOptions& options);
+  /// stamping target.
+  linalg::SystemMatrix& begin(std::size_t n);
 
   /// Optional error-message context: when set, a SingularMatrixError from
   /// factor() is rethrown with the MNA index mapped back to the netlist
@@ -49,11 +40,11 @@ class LinearSystem {
     netlist_ = netlist;
   }
 
-  /// Finalizes the stamp and factors.  Throws linalg::SingularMatrixError
-  /// (both backends) when the system is singular; the caller may stamp
-  /// and factor again (gmin/source stepping rely on this).  With a
-  /// diagnostic netlist attached the error message names the offending
-  /// equation / unknown instead of a bare elimination index.
+  /// Factors the stamped system.  Throws linalg::SingularMatrixError when
+  /// the system is singular; the caller may stamp and factor again
+  /// (gmin/source stepping rely on this).  With a diagnostic netlist
+  /// attached the error message names the offending unknown instead of a
+  /// bare elimination index.
   void factor();
 
   /// Allocation-free solve of the factored system; `b` and `x` hold
@@ -61,22 +52,14 @@ class LinearSystem {
   void solve_into(const double* b, double* x);
 
   std::size_t size() const { return system_.size(); }
-  /// True when the current system runs on the sparse backend.
-  bool sparse_active() const { return sparse_active_; }
 
  private:
   /// Rethrows `error` with node/branch names when context is available.
-  [[noreturn]] void rethrow_singular(const linalg::SingularMatrixError& error,
-                                     bool symbolic_failure);
+  [[noreturn]] void rethrow_singular(const linalg::SingularMatrixError& error);
 
   const circuit::Netlist* netlist_ = nullptr;
   linalg::SystemMatrix system_;
   linalg::Lud dense_;
-  linalg::SymbolicLu symbolic_;
-  linalg::SparseLud sparse_;
-  std::vector<double> magnitudes_;  // symbolic-analysis input (cold path)
-  std::uint64_t analyzed_epoch_ = 0;
-  bool sparse_active_ = false;
 };
 
 }  // namespace mayo::sim

@@ -50,7 +50,7 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
   Vector& step = scratch.step;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++iteration_counter;
-    linalg::SystemMatrix& jacobian = system.begin(n, options.solver);
+    linalg::SystemMatrix& jacobian = system.begin(n);
     residual.fill(0.0);
     TranStamp stamp(x, jacobian, residual, num_nodes, conditions, x_prev, h, t,
                     x_prev2);

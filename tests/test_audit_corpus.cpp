@@ -2,8 +2,8 @@
 // an "* expect: ..." header naming the AUD codes it must trigger ("clean"
 // for zero findings).  On top of the code assertions, every parseable
 // finite-valued deck cross-checks the audit's singularity verdict against
-// the actual dense AND sparse factorization outcome: predicted singular
-// if and only if the factorization fails.
+// the actual factorization outcome: predicted singular if and only if the
+// factorization fails.
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -61,23 +61,20 @@ std::vector<CorpusDeck> load_corpus() {
 bool predicts_singular(const AuditReport& report) {
   static const std::set<std::string> kSingularCodes = {
       "AUD-001", "AUD-003", "AUD-004", "AUD-005",
-      "AUD-006", "AUD-010", "AUD-011", "AUD-012"};
+      "AUD-006", "AUD-010", "AUD-011"};
   for (const Diagnostic& d : report.diagnostics())
     if (d.severity == Severity::kError && kSingularCodes.count(d.code) > 0)
       return true;
   return false;
 }
 
-/// Stamps the DC Jacobian at x = 0 (no gmin) and factors it with the
-/// requested backend; true when factorization reports a singular system.
-bool factorization_fails(const circuit::Netlist& netlist,
-                         linalg::SolverBackend backend) {
+/// Stamps the DC Jacobian at x = 0 (no gmin) and factors it; true when
+/// factorization reports a singular system.
+bool factorization_fails(const circuit::Netlist& netlist) {
   const std::size_t n = netlist.system_size();
   if (n == 0) return false;
   sim::LinearSystem system;
-  linalg::SolverOptions options;
-  options.backend = backend;
-  linalg::SystemMatrix& jacobian = system.begin(n, options);
+  linalg::SystemMatrix& jacobian = system.begin(n);
   linalg::Vector x(n);
   linalg::Vector residual(n);
   const circuit::Conditions conditions;
@@ -124,7 +121,7 @@ TEST(AuditCorpus, ErrorDecksRejectWarnDecksPass) {
   }
 }
 
-TEST(AuditCorpus, RankPredictorAgreesWithBothBackends) {
+TEST(AuditCorpus, RankPredictorAgreesWithFactorization) {
   for (const CorpusDeck& deck : load_corpus()) {
     SCOPED_TRACE(deck.name);
     const DeckAudit result = audit_deck(deck.text);
@@ -132,14 +129,9 @@ TEST(AuditCorpus, RankPredictorAgreesWithBothBackends) {
     // NaN values neither trip zero-pivot checks nor compare against
     // bounds; the finiteness rules own that class, not the rank rules.
     if (result.report.has_code("AUD-024")) continue;
-    const bool predicted = predicts_singular(result.report);
-    const circuit::Netlist& netlist = *result.circuit->netlist;
-    EXPECT_EQ(factorization_fails(netlist, linalg::SolverBackend::kDense),
-              predicted)
-        << deck.name << " (dense)";
-    EXPECT_EQ(factorization_fails(netlist, linalg::SolverBackend::kSparse),
-              predicted)
-        << deck.name << " (sparse)";
+    EXPECT_EQ(factorization_fails(*result.circuit->netlist),
+              predicts_singular(result.report))
+        << deck.name;
   }
 }
 

@@ -34,9 +34,12 @@ TEST(AuditStructural, CleanDividerHasFullRank) {
 }
 
 TEST(AuditStructural, CutOffMosStillHasStructuralRank) {
-  // The structural pass stamps at x = 0 where the channel conducts
-  // nothing, but discovery mode records the zero-valued positions, so a
-  // biased-off transistor must not be reported as rank-deficient.
+  // A transistor biased off at x = 0 must not be reported as
+  // rank-deficient.  This cannot pin that the structural pass keeps
+  // value-zero stamps: the model's drain-source gmin keeps the MOSFET's
+  // stamps nonzero, and V1's branch alone already gives a perfect
+  // matching.  SystemMatrix.PatternModeRecordsEveryAddInCallOrder pins
+  // the value-zero recording directly.
   Netlist netlist;
   const NodeId d = netlist.add_node("d");
   netlist.add<circuit::VoltageSource>("V1", d, kGround, 1.0);

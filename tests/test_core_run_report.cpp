@@ -87,7 +87,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 37u);
+  ASSERT_EQ(report.counters.size(), 35u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");

@@ -1,6 +1,6 @@
 // Regression tests for the MNA index -> name enrichment of
 // SingularMatrixError: a solver that fails must say *which* node or
-// branch is to blame, on the dense, sparse and AC paths alike.
+// branch is to blame, on the Newton and AC paths alike.
 #include <gtest/gtest.h>
 
 #include "audit/audit.hpp"
@@ -28,14 +28,11 @@ Netlist make_floating_pair() {
   return netlist;
 }
 
-std::string factor_failure_message(Netlist& netlist,
-                                   linalg::SolverBackend backend) {
+std::string factor_failure_message(Netlist& netlist) {
   const std::size_t n = netlist.system_size();
   LinearSystem system;
   system.set_diagnostic_netlist(&netlist);
-  linalg::SolverOptions options;
-  options.backend = backend;
-  linalg::SystemMatrix& jacobian = system.begin(n, options);
+  linalg::SystemMatrix& jacobian = system.begin(n);
   Vector x(n);
   Vector residual(n);
   const circuit::Conditions conditions;
@@ -52,29 +49,16 @@ std::string factor_failure_message(Netlist& netlist,
 
 TEST(SingularNames, DensePivotNamesTheFloatingNode) {
   Netlist netlist = make_floating_pair();
-  const std::string message =
-      factor_failure_message(netlist, linalg::SolverBackend::kDense);
+  const std::string message = factor_failure_message(netlist);
   ASSERT_FALSE(message.empty()) << "expected a singular system";
   EXPECT_NE(message.find("unknown: node 'b'"), std::string::npos) << message;
-}
-
-TEST(SingularNames, SparsePivotNamesEquationAndUnknown) {
-  Netlist netlist = make_floating_pair();
-  const std::string message =
-      factor_failure_message(netlist, linalg::SolverBackend::kSparse);
-  ASSERT_FALSE(message.empty()) << "expected a singular system";
-  EXPECT_NE(message.find("equation: KCL at node '"), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("unknown: node '"), std::string::npos) << message;
 }
 
 TEST(SingularNames, WithoutNetlistContextMessageIsUnchanged) {
   Netlist netlist = make_floating_pair();
   const std::size_t n = netlist.system_size();
   LinearSystem system;  // no set_diagnostic_netlist
-  linalg::SolverOptions options;
-  options.backend = linalg::SolverBackend::kDense;
-  linalg::SystemMatrix& jacobian = system.begin(n, options);
+  linalg::SystemMatrix& jacobian = system.begin(n);
   Vector x(n);
   Vector residual(n);
   const circuit::Conditions conditions;

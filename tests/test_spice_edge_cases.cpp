@@ -1,12 +1,9 @@
-// Parser and synthetic-netlist edge cases: malformed decks and degenerate
-// generator sizes must produce located ParseErrors or documented
-// exceptions, never an unwrapped invalid_argument or UB.
+// Parser edge cases: malformed decks must produce located ParseErrors or
+// documented exceptions, never an unwrapped invalid_argument or UB.
 #include <gtest/gtest.h>
 
 #include "audit/deck.hpp"
-#include "sim/dc.hpp"
 #include "spice/parser.hpp"
-#include "spice/synthetic.hpp"
 
 namespace mayo::spice {
 namespace {
@@ -56,35 +53,6 @@ TEST(ParserEdgeCases, AuditDeckTurnsParseFailuresIntoAud050) {
   const audit::Diagnostic& d = result.report.diagnostics().front();
   EXPECT_EQ(d.subject, "line 1");
   EXPECT_NE(d.message.find("does not parse"), std::string::npos);
-}
-
-TEST(SyntheticEdgeCases, ZeroSectionLadderIsTheBareSource) {
-  circuit::Netlist ladder = make_rc_ladder(0);
-  EXPECT_EQ(ladder.num_devices(), 1u);
-  EXPECT_EQ(ladder.system_size(), 2u);
-  const auto result = sim::solve_dc(ladder, circuit::Conditions{});
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.solution[0], 1.0, 1e-12);  // pinned input node
-}
-
-TEST(SyntheticEdgeCases, SingleSectionLadderSolves) {
-  circuit::Netlist ladder = make_rc_ladder(1);
-  EXPECT_EQ(ladder.system_size(), 3u);
-  const auto result = sim::solve_dc(ladder, circuit::Conditions{});
-  ASSERT_TRUE(result.converged);
-}
-
-TEST(SyntheticEdgeCases, DegenerateMeshSizesThrow) {
-  EXPECT_THROW(make_mos_mesh(0, 3), std::invalid_argument);
-  EXPECT_THROW(make_mos_mesh(3, 0), std::invalid_argument);
-  EXPECT_THROW(make_mos_mesh(0, 0), std::invalid_argument);
-}
-
-TEST(SyntheticEdgeCases, OneByOneMeshSolves) {
-  circuit::Netlist mesh = make_mos_mesh(1, 1);
-  EXPECT_EQ(mesh.system_size(), 3u);  // in + 1 grid node + source branch
-  const auto result = sim::solve_dc(mesh, circuit::Conditions{});
-  EXPECT_TRUE(result.converged);
 }
 
 }  // namespace

@@ -56,9 +56,9 @@ echo "=== [release-werror] netlist audit sweep ==="
 tools/audit_sweep.sh build-ci-release-werror audit-reports
 
 # Explicit microbenchmark smoke on the optimized build: the bench_* ctest
-# entries (batch evaluation, AC session probes, sparse-vs-dense solver
-# boundary, IS-verifier comparison) must run and exit cleanly even when a
-# full ctest pass above was filtered or cached.
+# entries (batch evaluation, AC session probes, plain-MC verification,
+# IS-verifier comparison, slew transient) must run and exit cleanly even
+# when a full ctest pass above was filtered or cached.
 echo "=== [release-werror] microbenchmark smoke ==="
 ctest --test-dir build-ci-release-werror -R '^bench_' --output-on-failure
 

@@ -52,17 +52,17 @@ one-line diff below):
                     including the simulator kernels under src/sim/) must
                     not construct linalg::Vector, Matrixd, Matrixc or
                     VectorC inside a loop -- workspaces are allocated
-                    once and reused.  The sparse solver backend
-                    (HOT_REGION_FILES) gets a function-scoped variant:
-                    inside SparseLu::refactor / solve_into bodies -- the
-                    per-probe / per-Newton-iteration paths -- no
+                    once and reused.  The LU kernel (HOT_REGION_FILES)
+                    gets a function-scoped variant: inside the
+                    Lu::factor / solve_into bodies -- the
+                    per-Newton-iteration / per-probe paths -- no
                     allocating call at all (push_back, resize, reserve,
-                    operator new, vector construction, ...); the
-                    symbolic setup (CsrPattern, SymbolicLu::analyze,
-                    bind) runs once per topology and may allocate
-                    freely.  Deliberate exceptions (grow-only buffers,
-                    handing ownership to a cache) carry a
-                    "// hot-ok: <reason>" comment on the same line.
+                    operator new, vector construction, ...); the rest
+                    of the file (workspace sizing, the allocating
+                    convenience solve) may allocate.  Deliberate
+                    exceptions (grow-only buffers, handing ownership to
+                    a cache) carry a "// hot-ok: <reason>" comment on
+                    the same line.
   space-discipline  .raw() -- the only way out of the tagged vector-space
                     layer (src/linalg/spaces.hpp) -- is confined to the
                     whitelisted crossing sites (SPACE_CROSSING_FILES) the
@@ -135,14 +135,12 @@ HOT_FILES = {
     "src/sim/transient.cpp",
 }
 
-# Function-scoped hot regions: the numeric refactor/solve paths of the
-# sparse backend run once per Newton iteration / AC probe and must stay
-# allocation-free after bind(); the symbolic setup in the same files runs
-# once per topology and may allocate.  file -> function names whose
-# bodies are policed.
+# Function-scoped hot regions: the LU factor/solve bodies run once per
+# Newton iteration / AC probe and must stay allocation-free once the
+# workspace has its size; the rest of the file may allocate.  file ->
+# function names whose bodies are policed.
 HOT_REGION_FILES = {
-    "src/linalg/sparse.hpp": ("refactor", "solve_into"),
-    "src/linalg/sparse.cpp": ("refactor", "solve_into"),
+    "src/linalg/lu.hpp": ("factor", "solve_into"),
 }
 
 # Any allocating call inside a hot-region function body: container
@@ -366,8 +364,8 @@ class Linter:
                     and HOT_REGION_ALLOC_RE.search(line)
                     and not sf.suppressed(lineno, "hot-ok:")):
                 self.report(sf.path, lineno, "hot-path-alloc",
-                            "allocation inside a numeric refactor/solve "
-                            "body (move it to the symbolic setup, or "
+                            "allocation inside a numeric factor/solve "
+                            "body (move it to the workspace setup, or "
                             "annotate with // hot-ok: <reason>)")
             for ch in scan:
                 if ch == "{":

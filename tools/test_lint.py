@@ -381,73 +381,65 @@ class LintRepoTest(unittest.TestCase):
         self.assertIn(("hot-path-alloc", self.HOT),
                       rules_in(run_lint(self.root)))
 
-    # -- hot-path-alloc: function-scoped sparse regions --------------------
+    # -- hot-path-alloc: function-scoped LU regions -----------------------
 
-    SPARSE = "src/linalg/sparse.cpp"  # member of lint.HOT_REGION_FILES
+    LU = "src/linalg/lu.hpp"  # member of lint.HOT_REGION_FILES
 
-    def test_hot_region_alloc_in_refactor_flagged(self):
-        # No loop needed: any allocation inside a numeric refactor body
+    def test_hot_region_alloc_in_factor_flagged(self):
+        # No loop needed: any allocation inside a numeric factor body
         # counts, even straight-line code.
-        self.write(self.SPARSE,
-                   "void SparseLud::refactor(const double* a) {\n"
-                   "  scratch_.push_back(a[0]);\n"
+        self.write(self.LU,
+                   "#pragma once\n"
+                   "void Lu::factor() {\n"
+                   "  scratch_.push_back(lu_(0, 0));\n"
                    "}\n")
-        self.assertIn(("hot-path-alloc", self.SPARSE),
+        self.assertIn(("hot-path-alloc", self.LU),
                       rules_in(run_lint(self.root)))
 
     def test_hot_region_alloc_in_solve_into_flagged(self):
-        self.write(self.SPARSE,
-                   "void SparseLud::solve_into(const double* b, double* x) {\n"
-                   "  std::vector<double> y(n_);\n"
+        self.write(self.LU,
+                   "#pragma once\n"
+                   "void Lu::solve_into(const double* b, double* x) const {\n"
+                   "  std::vector<double> y(size());\n"
                    "  use(b, x, y);\n"
                    "}\n")
-        self.assertIn(("hot-path-alloc", self.SPARSE),
+        self.assertIn(("hot-path-alloc", self.LU),
                       rules_in(run_lint(self.root)))
 
     def test_hot_region_suppressed_by_hot_ok(self):
-        self.write(self.SPARSE,
-                   "void SparseLud::refactor(const double* a) {\n"
-                   "  scratch_.push_back(a[0]);  // hot-ok: grow-only\n"
+        self.write(self.LU,
+                   "#pragma once\n"
+                   "void Lu::factor() {\n"
+                   "  perm_.resize(n);  // hot-ok: same size, no allocation\n"
                    "}\n")
         self.assertEqual(run_lint(self.root), [])
 
-    def test_hot_region_symbolic_setup_may_allocate(self):
-        # analyze/bind are the once-per-topology setup: allocation is the
-        # point, only refactor/solve_into are policed.
-        self.write(self.SPARSE,
-                   "void SymbolicLu::analyze(const CsrPattern& p) {\n"
-                   "  l_pos_.reserve(p.nnz());\n"
-                   "  l_pos_.push_back(0);\n"
-                   "}\n"
-                   "void SparseLud::bind(const SymbolicLu& s) {\n"
-                   "  lval_.assign(s.lu_nnz(), 0.0);\n"
+    def test_hot_region_workspace_setup_may_allocate(self):
+        # Sizing the workspace is where allocation belongs; only
+        # factor/solve_into are policed.
+        self.write(self.LU,
+                   "#pragma once\n"
+                   "Matrix& Lu::workspace(std::size_t n) {\n"
+                   "  perm_.reserve(n);\n"
+                   "  scratch_.assign(n, 0.0);\n"
+                   "  return lu_;\n"
                    "}\n")
         self.assertEqual(run_lint(self.root), [])
 
     def test_hot_region_call_or_declaration_does_not_open_region(self):
-        # `solve_into(...)` as a call and `refactor(...);` as a
-        # declaration must not police the code that follows them.
-        self.write(self.SPARSE,
-                   "void SparseLud::refactor(const double* a);\n"
-                   "std::vector<double> SparseLud::solve(\n"
-                   "    const std::vector<double>& b) {\n"
+        # `solve_into(...)` as a call and `factor(...);` as a declaration
+        # must not police the code that follows them.
+        self.write(self.LU,
+                   "#pragma once\n"
+                   "void Lu::factor();\n"
+                   "std::vector<double> Lu::solve(\n"
+                   "    const std::vector<double>& b) const {\n"
                    "  std::vector<double> x(b.size());\n"
                    "  solve_into(b.data(), x.data());\n"
                    "  x.resize(b.size());\n"
                    "  return x;\n"
                    "}\n")
         self.assertEqual(run_lint(self.root), [])
-
-    def test_hot_region_applies_to_sparse_header_too(self):
-        self.write("src/linalg/sparse.hpp",
-                   "#pragma once\n"
-                   "struct S {\n"
-                   "  void refactor(const double* a) {\n"
-                   "    lval_.resize(8);\n"
-                   "  }\n"
-                   "};\n")
-        self.assertIn(("hot-path-alloc", "src/linalg/sparse.hpp"),
-                      rules_in(run_lint(self.root)))
 
     # -- space-discipline --------------------------------------------------
 
