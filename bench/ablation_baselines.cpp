@@ -10,6 +10,7 @@
 //
 // All three run on the Miller opamp (cheap, globals only), same starting
 // point, same verification protocol.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -32,13 +33,16 @@ double verify(core::Evaluator& ev, const linalg::DesignVec& d) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Baseline comparison (Miller opamp): proposed vs direct-MC vs maximin");
 
   // (1) Proposed: spec-wise linearization + feasibility-guided search.
   auto p1 = circuits::Miller::make_problem();
   core::Evaluator ev1(p1);
   core::YieldOptimizerOptions proposed_options;
+  proposed_options.sample_seed = sample_seed;
   proposed_options.max_iterations = 3;
   proposed_options.linear_samples = 10000;
   proposed_options.run_verification = false;

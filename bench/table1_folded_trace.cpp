@@ -1,6 +1,7 @@
 // Paper Table 1: optimization trace of the folded-cascode opamp under
 // functional constraints.  Initial yield 0% (ft and CMRR critical) ->
 // ~100% within a few iterations; linear-model bad-sample counts collapse.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -9,12 +10,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 1: folded-cascode yield optimization (with functional constraints)");
 
   auto problem = circuits::FoldedCascode::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 4;
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
@@ -22,6 +26,7 @@ int main() {
 
   bench::print_trace(result, circuits::FoldedCascode::performance_names(),
                      problem.specs);
+  bench::print_stop("", result, options.linear_samples);
 
   const auto& first = result.trace.front();
   const auto& last = result.trace.back();

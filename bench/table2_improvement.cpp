@@ -4,6 +4,7 @@
 // C(d) mechanism).  The per-spec Delta mu/(mu - f_b) and Delta sigma/sigma
 // are computed from the simulation-based verification Monte Carlo of two
 // consecutive trace points.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -12,12 +13,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 2: mean-distance and sigma improvement between iterations");
 
   auto problem = circuits::FoldedCascode::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 4;
   options.linear_samples = 10000;
   options.verification.num_samples = 500;  // moments need a few samples

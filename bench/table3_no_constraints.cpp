@@ -2,6 +2,7 @@
 // constraints.  The linearized models are built far outside the region
 // where they are trustworthy; the internal bad-sample counts can shrink
 // while the true yield does not recover (paper: stays 0%).
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -10,12 +11,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 3: ablation WITHOUT functional constraints");
 
   auto problem = circuits::FoldedCascode::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 2;
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
@@ -35,6 +39,7 @@ int main() {
   auto problem_ref = circuits::FoldedCascode::make_problem();
   core::Evaluator ev_ref(problem_ref);
   core::YieldOptimizerOptions ref_options;
+  ref_options.sample_seed = sample_seed;
   ref_options.max_iterations = 4;
   ref_options.linear_samples = 10000;
   ref_options.verification.num_samples = 300;

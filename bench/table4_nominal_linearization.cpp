@@ -6,6 +6,7 @@
 // matched point is instead enormous, i.e. uselessly pessimistic).  Either
 // way the optimizer is misled and the run falls short of the
 // worst-case-point run.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -14,12 +15,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 4: ablation with linearization at the nominal point s0");
 
   auto problem = circuits::FoldedCascode::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 1;  // the paper's table shows one iteration
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
@@ -34,6 +38,7 @@ int main() {
   auto problem_ref = circuits::FoldedCascode::make_problem();
   core::Evaluator ev_ref(problem_ref);
   core::YieldOptimizerOptions ref_options;
+  ref_options.sample_seed = sample_seed;
   ref_options.max_iterations = 4;
   ref_options.linear_samples = 10000;
   ref_options.verification.num_samples = 300;

@@ -9,6 +9,7 @@
 // realistic measurement loop), so the load-mirror pair carries the largest
 // measure instead.  The structural claim -- a single dominant pair, CMRR
 // the only mismatch-sensitive spec -- is preserved.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -18,12 +19,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 5: mismatch measure for the folded-cascode opamp");
 
   auto problem = circuits::FoldedCascode::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 0;  // analysis at the initial point only
   options.linear_samples = 2000;
   options.run_verification = false;

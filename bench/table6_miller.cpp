@@ -1,6 +1,7 @@
 // Paper Table 6: yield optimization of the Miller opamp with GLOBAL
 // process variations only (constant covariance): moderate initial yield
 // (33.7% in the paper; SR and PM marginal) -> ~99%+ after optimization.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -9,12 +10,15 @@
 
 using namespace mayo;
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 6: Miller opamp yield optimization (global variations)");
 
   auto problem = circuits::Miller::make_problem();
   core::Evaluator ev(problem);
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 3;
   options.linear_samples = 10000;
   options.verification.num_samples = 300;

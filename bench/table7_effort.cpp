@@ -76,10 +76,13 @@ std::string counter(std::uint64_t value) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t sample_seed = 0;
+  if (!bench::parse_sample_seed(argc, argv, sample_seed)) return 2;
   bench::section("Table 7: computational effort");
 
   core::YieldOptimizerOptions options;
+  options.sample_seed = sample_seed;
   options.max_iterations = 4;
   options.linear_samples = 10000;
   options.run_verification = false;  // the paper's count excludes the
@@ -117,6 +120,8 @@ int main() {
   add_row("Folded-Cascode", fc_effort, "689", "30 min");
   add_row("Miller", miller_effort, "627", "8 min");
   std::fputs(table.str().c_str(), stdout);
+  bench::print_stop("Folded-Cascode ", fc, options.linear_samples);
+  bench::print_stop("Miller ", miller, options.linear_samples);
 
   const std::size_t fc_sims = fc_effort.sims();
   const std::size_t miller_sims = miller_effort.sims();

@@ -4,6 +4,7 @@
 #include "core/yield_model.hpp"
 
 #include <chrono>
+#include <optional>
 
 #include "stats/sampler.hpp"
 
@@ -33,9 +34,10 @@ IterationRecord make_record(Evaluator& evaluator, const DesignVec& d,
     record.specs[i].nominal_margin = linearized.operating.worst_margin[i];
     record.specs[i].bad_permille =
         1000.0 * static_cast<double>(bad[i]) / samples.count();
-    record.specs[i].beta = linearized.worst_cases.empty()
-                               ? 0.0
-                               : linearized.worst_cases[i].beta;
+    if (!linearized.worst_cases.empty()) {
+      record.specs[i].beta = linearized.worst_cases[i].beta;
+      record.specs[i].beta_converged = linearized.worst_cases[i].converged;
+    }
   }
 
   return record;
@@ -51,6 +53,16 @@ void attach_verification(Evaluator& evaluator, IterationRecord& record,
 }
 
 }  // namespace
+
+const char* stop_reason_name(StopReason reason) {
+  switch (reason) {
+    case StopReason::kMaxIterations: return "max_iterations";
+    case StopReason::kPredictedGain: return "predicted_gain";
+    case StopReason::kLineSearchBlocked: return "line_search_blocked";
+    case StopReason::kAllAttemptsRejected: return "all_attempts_rejected";
+  }
+  return "unknown";
+}
 
 YieldOptimizationResult optimize_yield(Evaluator& evaluator,
                                        const YieldOptimizerOptions& options) {
@@ -99,15 +111,26 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
     // linear models were overstretched -- retry the coordinate search with
     // half the trust radius ("until no further improvement", Fig. 6).
     bool accepted = false;
+    std::optional<StopReason> stop;  // set by an attempt that ends the loop
     CoordinateSearchOptions search_options = options.search;
     for (int attempt = 0; attempt < 3 && !accepted; ++attempt) {
       // Step 3: coordinate search on the linear models (eq. 17-20).
       LinearYieldModel yield_model(linearized.models, samples);
       yield_model.set_design(d_f);
+      const std::size_t passing_at_d_f = yield_model.passing();
       const CoordinateSearchResult search = maximize_linear_yield(
           yield_model, options.use_constraints ? &feasibility : nullptr,
           design_space, search_options);
-      if (search.moves == 0) break;  // nothing to gain at this radius
+      result.predicted_gain = static_cast<std::int64_t>(search.passing) -
+                              static_cast<std::int64_t>(passing_at_d_f);
+      // "Until no further improvement" (Fig. 6), decided on the models at
+      // no simulation cost: a predicted gain within the sample set's
+      // resolution -- 0 when the search made no move -- is not worth a line
+      // search and a re-linearization.
+      if (search.passing <= passing_at_d_f + kStopGainSamples) {
+        stop = StopReason::kPredictedGain;
+        break;
+      }
 
       // Step 4: feasibility line search on true constraints (eq. 23).
       double gamma = 1.0;
@@ -118,7 +141,10 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
         gamma = line.gamma;
         d_new = line.d_new;
       }
-      if (gamma <= 0.0) break;  // cannot move without leaving F
+      if (gamma <= 0.0) {  // cannot move without leaving F
+        stop = StopReason::kLineSearchBlocked;
+        break;
+      }
 
       // Step 5: re-linearize at the candidate, following the accepted
       // iterate's mismatch-type worst-case points, and apply the monotone
@@ -140,11 +166,15 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
       attach_verification(evaluator, record, linearized, options);
       record.gamma = gamma;
       record.moves = static_cast<std::size_t>(search.moves);
+      record.predicted_yield = search.yield;
       result.trace.push_back(std::move(record));
       result.linearizations.push_back(linearized);
       accepted = true;
     }
-    if (!accepted) break;
+    if (!accepted) {
+      result.stop_reason = stop.value_or(StopReason::kAllAttemptsRejected);
+      break;
+    }
   }
 
   // Optional importance-sampled final verification: reuse the worst-case

@@ -6,7 +6,14 @@
 //   3. maximize the Monte-Carlo yield estimate over d by coordinate search
 //      under the linearized constraints (eq. 17-20),
 //   4. line-search on the true constraints towards the maximizer (eq. 23),
-//   5. repeat from 2 until the yield estimate stops improving.
+//   5. repeat from 2 until no further improvement: the loop stops before
+//      step 4 when the coordinate search predicts at most kStopGainSamples
+//      more passing samples than at d_f (tau = 2/N, the resolution of the
+//      N-sample estimate; a search that makes no move predicts 0), and d_f
+//      is the final design.  It also stops when the line search cannot
+//      move or the monotone safeguard rejects every attempt, so
+//      `max_iterations` is an upper bound on the accepted iterations.
+//      `stop_reason` says which.
 //
 // The ablations of the paper's Tables 3 and 4 are option switches:
 // `use_constraints = false` removes the feasibility guidance, and
@@ -64,11 +71,31 @@ struct YieldOptimizerOptions {
   IsVerificationOptions is_verification;
 };
 
+/// Predicted gain, in passing samples of the linear model, at or below
+/// which the Fig.-6 loop stops (step 5 above).
+inline constexpr std::size_t kStopGainSamples = 2;
+
+/// Why optimize_yield's Fig.-6 loop ended.
+enum class StopReason {
+  kMaxIterations,        ///< max_iterations iterations were accepted
+  kPredictedGain,        ///< the search predicted <= kStopGainSamples more
+                         ///< (0 when it made no move)
+  kLineSearchBlocked,    ///< the line search could not move inside F
+  kAllAttemptsRejected,  ///< the monotone safeguard rejected every attempt
+};
+
+/// Stable snake_case name of a stop reason ("predicted_gain", ...), as
+/// written to the run report.
+const char* stop_reason_name(StopReason reason);
+
 /// Per-spec state recorded in every trace row (one paper-table column).
 struct SpecSnapshot {
   double nominal_margin = 0.0;  ///< margin at (d, s0, theta_wc) -- the f-f_b rows
   double bad_permille = 0.0;    ///< bad samples in the linear model [per mille]
   double beta = 0.0;            ///< worst-case distance at this iterate
+  /// The worst-case search converged; false means |beta| is only as far as
+  /// the search got (max_radius when the spec is out of reach).
+  bool beta_converged = true;
 };
 
 /// One row of the optimization trace (paper Tables 1/3/4/6).
@@ -77,6 +104,9 @@ struct IterationRecord {
   linalg::DesignVec d;
   std::vector<SpecSnapshot> specs;
   double linear_yield = 0.0;    ///< Y_bar on the linear models at d
+  /// Y_bar the coordinate search predicted at the d* that produced this
+  /// row, on the previous row's models (-1 for the initial row).
+  double predicted_yield = -1.0;
   double verified_yield = -1.0; ///< simulation MC (-1 if not run)
   VerificationResult verification;  ///< full verification data (if run)
   double gamma = 0.0;           ///< line-search step that produced this iterate
@@ -87,6 +117,11 @@ struct YieldOptimizationResult {
   std::vector<IterationRecord> trace;  ///< [0] = initial, then per iteration
   linalg::DesignVec final_d;
   bool feasible_start_found = false;
+  StopReason stop_reason = StopReason::kMaxIterations;
+  /// Passing samples the last coordinate search predicted over d_f -- the
+  /// search that stopped the loop unless stop_reason is kMaxIterations;
+  /// 0 when no search ran.
+  std::int64_t predicted_gain = 0;
   /// Linearizations (worst-case points included) built at each trace point;
   /// index matches `trace`.  Mismatch analysis reuses these at no extra
   /// simulation cost (paper Sec. 3.2).

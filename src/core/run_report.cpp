@@ -25,6 +25,7 @@ void attach_optimizer(RunReport& report,
   report.optimizer.present = true;
   report.optimizer.iterations =
       result.trace.empty() ? 0 : static_cast<int>(result.trace.size()) - 1;
+  report.optimizer.stop_reason = result.stop_reason;
   report.optimizer.feasible_start_found = result.feasible_start_found;
   if (!result.trace.empty()) {
     report.optimizer.final_linear_yield = result.trace.back().linear_yield;
@@ -124,7 +125,9 @@ std::string to_json(const RunReport& report) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%d", report.optimizer.iterations);
     out += buf;
-    out += ", \"feasible_start_found\": ";
+    out += ", \"stop_reason\": \"";
+    out += stop_reason_name(report.optimizer.stop_reason);
+    out += "\", \"feasible_start_found\": ";
     out += report.optimizer.feasible_start_found ? "true" : "false";
     out += ", \"final_linear_yield\": ";
     append_double(out, report.optimizer.final_linear_yield);

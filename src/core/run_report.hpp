@@ -14,7 +14,8 @@
 //     "counters": { "<dotted.name>": <int>, ... },
 //     "evaluations": { "optimization": ..., "verification": ...,
 //                      "constraint": ..., "cache_hits": ... },
-//     "optimizer": null | { "iterations": ..., "feasible_start_found": ...,
+//     "optimizer": null | { "iterations": ..., "stop_reason": "...",
+//                           "feasible_start_found": ...,
 //                           "final_linear_yield": ...,
 //                           "final_verified_yield": ...,
 //                           "wall_seconds": ... }
@@ -54,6 +55,7 @@ struct CounterReport {
 struct OptimizerReport {
   bool present = false;
   int iterations = 0;  ///< trace entries beyond the initial design
+  StopReason stop_reason = StopReason::kMaxIterations;  ///< stop_reason_name()
   bool feasible_start_found = false;
   double final_linear_yield = 0.0;
   double final_verified_yield = -1.0;  ///< -1 when verification did not run

@@ -32,6 +32,7 @@ RunReport golden_report() {
   report.evaluations = {10, 300, 7, 2};
   report.optimizer.present = true;
   report.optimizer.iterations = 3;
+  report.optimizer.stop_reason = StopReason::kPredictedGain;
   report.optimizer.feasible_start_found = true;
   report.optimizer.final_linear_yield = 0.875;
   report.optimizer.final_verified_yield = 0.75;
@@ -56,7 +57,8 @@ constexpr const char* kGoldenJson =
     "  },\n"
     "  \"evaluations\": {\"optimization\": 10, \"verification\": 300, "
     "\"constraint\": 7, \"cache_hits\": 2},\n"
-    "  \"optimizer\": {\"iterations\": 3, \"feasible_start_found\": true, "
+    "  \"optimizer\": {\"iterations\": 3, \"stop_reason\": \"predicted_gain\", "
+    "\"feasible_start_found\": true, "
     "\"final_linear_yield\": 0.875, \"final_verified_yield\": 0.75, "
     "\"wall_seconds\": 2.5}\n"
     "}\n";
@@ -134,6 +136,11 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
   EXPECT_EQ(report.evaluations.optimization, result.counts.optimization);
   EXPECT_EQ(report.optimizer.iterations,
             static_cast<int>(result.trace.size()) - 1);
+  EXPECT_EQ(report.optimizer.stop_reason, result.stop_reason);
+  std::string stop_key = "\"stop_reason\": \"";
+  stop_key += stop_reason_name(result.stop_reason);
+  stop_key += "\"";
+  EXPECT_NE(to_json(report).find(stop_key), std::string::npos) << stop_key;
 
   if (obs::kEnabled) {
     // The run must have entered every Fig. 6 phase of the loop...

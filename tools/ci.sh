@@ -69,10 +69,13 @@ mkdir -p bench-reports
 build-ci-release-werror/bench/bm_is_verify --smoke \
   --json bench-reports/BENCH_is_verify.json
 
-# Every paper table/figure/baseline bench: a claim printed as DEVIATES
-# fails the run; the outputs land in paper-verdicts/ like the CI artifact.
+# Every paper table/baseline bench at sample seeds 42 and 1-7 and every
+# figure bench once: a claim printed as DEVIATES at seed 42 or by a figure
+# bench, or a crash, fails the run; the outputs land in paper-verdicts/
+# like the CI artifact.
 echo "=== [release-werror] paper verdicts ==="
-tools/paper_verdicts.sh build-ci-release-werror paper-verdicts
+tools/paper_verdicts.sh --seeds "42 1 2 3 4 5 6 7" \
+  build-ci-release-werror paper-verdicts
 
 # End-to-end yield-run benchmark at smoke budgets: all four workloads with
 # every correctness check on (e2ebench/ builds its own Release tree).
