@@ -17,8 +17,9 @@
 // starts stopped on the trust sphere because their spec is out of reach
 // (wc.iterations, wc.out_of_reach), and the searches warm-started at the
 // previous iterate's worst-case point with those that fell back to the
-// full multi-start (wc.warm_starts, wc.warm_fallbacks).  Counters read
-// "n/a" under MAYO_OBS=OFF.
+// full multi-start (wc.warm_starts, wc.warm_fallbacks).  "CS scans" counts
+// the exact coordinate scans of the linear-model coordinate search, which
+// runs no simulation (cs.scans).  Counters read "n/a" under MAYO_OBS=OFF.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -45,6 +46,7 @@ struct Effort {
   std::uint64_t wc_out_of_reach = 0;
   std::uint64_t wc_warm_starts = 0;
   std::uint64_t wc_warm_fallbacks = 0;
+  std::uint64_t cs_scans = 0;
 
   std::size_t sims() const {
     return result.counts.optimization + result.counts.constraint;
@@ -67,6 +69,7 @@ Effort run(core::YieldProblem problem,
   effort.wc_out_of_reach = c.wc_out_of_reach.value();
   effort.wc_warm_starts = c.wc_warm_starts.value();
   effort.wc_warm_fallbacks = c.wc_warm_fallbacks.value();
+  effort.cs_scans = c.cs_scans.value();
   return effort;
 }
 
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
                          "skipped", "transients", "time steps",
                          "tran Newton", "WC iterations",
                          "out of reach", "warm starts", "warm fallbacks",
-                         "Wall clock", "paper # sims",
+                         "CS scans", "Wall clock", "paper # sims",
                          "paper wall clock"});
   const auto add_row = [&](const char* name, const Effort& effort,
                            const char* paper_sims, const char* paper_wall) {
@@ -114,6 +117,7 @@ int main(int argc, char** argv) {
                    counter(effort.wc_out_of_reach),
                    counter(effort.wc_warm_starts),
                    counter(effort.wc_warm_fallbacks),
+                   counter(effort.cs_scans),
                    core::fmt(effort.result.wall_seconds, 1) + " s", paper_sims,
                    paper_wall});
   };
@@ -155,8 +159,9 @@ int main(int argc, char** argv) {
               "'WC iterations' counts worst-case search iterations over all "
               "starts, 'out of reach' the starts stopped on the trust sphere "
               "with their spec still beyond it, 'warm starts' the searches "
-              "started at the previous iterate's worst-case point and 'warm "
+              "started at the previous iterate's worst-case point, 'warm "
               "fallbacks' those that did not converge and ran the full "
-              "multi-start.\n");
+              "multi-start, and 'CS scans' the coordinate search's exact "
+              "1-D scans on the linear models (no simulations).\n");
   return 0;
 }

@@ -42,6 +42,7 @@ CoordinateSearchResult maximize_linear_yield(
       }
       if (alpha_lo > alpha_hi) continue;  // constraints block this coordinate
 
+      obs::registry().counters.cs_scans.add();
       const auto scan = model.best_alpha(k, alpha_lo, alpha_hi);
       if (scan.passing > current_passing &&
           std::abs(scan.alpha) > options.min_move_fraction * range) {

@@ -207,8 +207,12 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
   result.margin_at_wc = chosen.margin;
   result.gradient = std::move(chosen.gradient);
   result.converged = chosen.converged;
+  // A search that did not converge located no point of the level set: it
+  // reports |beta| = max_radius, the searched sphere's edge, wherever it
+  // stopped (a start on a flat gradient stops where it began).
   const double sign = result.margin_nominal >= 0.0 ? 1.0 : -1.0;
-  result.beta = sign * result.s_wc.norm();
+  result.beta =
+      sign * (result.converged ? result.s_wc.norm() : options.max_radius);
 
   // Mirror detection (eq. 21): one extra evaluation at -s_wc.  A linear
   // performance would have margin ~ 2*m0 there; a symmetric quadratic one

@@ -84,7 +84,8 @@ struct WcDistanceOptions {
 struct WorstCasePoint {
   std::size_t spec = 0;
   linalg::StatUnitVec s_wc;  ///< worst-case point in s_hat coordinates
-  double beta = 0.0;         ///< signed worst-case distance
+  double beta = 0.0;         ///< signed worst-case distance; +-max_radius
+                             ///< (sign of margin_nominal) if not converged
   double margin_nominal = 0.0;  ///< margin at s_hat = 0
   double margin_at_wc = 0.0;    ///< residual margin at s_wc (~0 when converged)
   linalg::StatUnitVec gradient;  ///< margin gradient w.r.t. s_hat at s_wc

@@ -97,96 +97,179 @@ std::vector<std::size_t> LinearYieldModel::bad_samples_per_spec(
   return bad;
 }
 
+namespace {
+
+// The interior interval ends are spread over kValueBuckets buckets by value,
+// and a bucket is sorted only if the maximum coverage can lie in it.
+constexpr std::size_t kValueBuckets = 2048;
+
+}  // namespace
+
 LinearYieldModel::AlphaScan LinearYieldModel::best_alpha(std::size_t k,
                                                          double alpha_lo,
-                                                         double alpha_hi) const {
+                                                         double alpha_hi) {
   if (!(alpha_lo <= alpha_hi))
     throw std::invalid_argument("best_alpha: empty alpha interval");
   const std::size_t n = num_samples();
+  if (scan_ends_.empty()) {  // first scan: N never changes
+    scan_ends_.resize(4 * n);  // hot-ok: grow-only scratch
+    scan_buckets_.resize(4 * kValueBuckets + 2);  // hot-ok: grow-only scratch
+  }
 
-  // Interval endpoints: +1 when a sample's feasible interval opens, -1 when
-  // it closes.  Intervals are closed; starts sort before ends at ties.
-  struct Event {
-    double alpha;
-    int delta;
-  };
-  std::vector<Event> events;
-  events.reserve(2 * n);
-
-  for (std::size_t j = 0; j < n; ++j) {
-    double lo = alpha_lo;
-    double hi = alpha_hi;
-    bool empty = false;
-    for (std::size_t l = 0; l < models_.size(); ++l) {
-      const double margin = base_(l, j) + offsets_[l];
-      const double slope = models_[l].grad_d[k];
-      if (std::abs(slope) < 1e-30) {
-        if (margin < 0.0) {
-          empty = true;
-          break;
+  // Each sample's feasible alpha-interval [lo, hi], intersected one model
+  // at a time over that model's contiguous row of margins.  A NaN boundary
+  // leaves the interval as it is (std::max / std::min keep their first
+  // argument); a sample a flat model fails is marked empty for good.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double* lo = scan_ends_.data();
+  double* hi = lo + n;
+  std::fill(lo, lo + n, alpha_lo);
+  std::fill(hi, hi + n, alpha_hi);
+  for (std::size_t l = 0; l < models_.size(); ++l) {
+    const double* base = base_.row(l);
+    const double offset = offsets_[l];
+    const double slope = models_[l].grad_d[k];
+    if (std::abs(slope) < 1e-30) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (base[j] + offset < 0.0) {
+          lo[j] = kInf;
+          hi[j] = -kInf;
         }
-        continue;
       }
-      const double boundary = -margin / slope;
-      if (slope > 0.0)
-        lo = std::max(lo, boundary);
-      else
-        hi = std::min(hi, boundary);
-      if (lo > hi) {
-        empty = true;
-        break;
-      }
+    } else if (slope > 0.0) {
+      for (std::size_t j = 0; j < n; ++j)
+        lo[j] = std::max(lo[j], -(base[j] + offset) / slope);
+    } else {
+      for (std::size_t j = 0; j < n; ++j)
+        hi[j] = std::min(hi[j], -(base[j] + offset) / slope);
     }
-    if (!empty) {
-      events.push_back({lo, +1});
-      events.push_back({hi, -1});
+  }
+
+  // Interval ends: an open at alpha_lo or a close at alpha_hi is only
+  // counted.  The interior ones go to value buckets; bucket_of is monotone
+  // in the value, so bucket order is value order and equal values share a
+  // bucket.  open_first[b] .. open_first[b + 1] will hold bucket b's opens.
+  // A zero or infinite span gives bucket_scale 0 and at most two buckets:
+  // slower, still exact.
+  const double scale = kValueBuckets / (alpha_hi - alpha_lo);
+  const double bucket_scale = scale < kInf ? scale : 0.0;
+  const auto bucket_of = [&](double x) {
+    const double t = (x - alpha_lo) * bucket_scale;
+    return t < kValueBuckets - 1 ? static_cast<std::size_t>(t)
+                                 : kValueBuckets - 1;
+  };
+  std::uint32_t* open_first = scan_buckets_.data();
+  std::uint32_t* close_first = open_first + kValueBuckets + 1;
+  std::uint32_t* open_fill = close_first + kValueBuckets + 1;
+  std::uint32_t* close_fill = open_fill + kValueBuckets;
+  std::fill(open_first, open_first + 2 * (kValueBuckets + 1), 0U);
+  std::size_t opens_at_lo = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (lo[j] > hi[j]) continue;  // no feasible alpha for this sample
+    if (lo[j] > alpha_lo)
+      ++open_first[bucket_of(lo[j]) + 1];
+    else
+      ++opens_at_lo;
+    if (hi[j] < alpha_hi) ++close_first[bucket_of(hi[j]) + 1];
+  }
+  // The coverage between two buckets is the coverage right after some end,
+  // so the maximum coverage is at least the largest one at a boundary.
+  std::size_t coverage_floor = opens_at_lo;
+  for (std::size_t b = 0, coverage = opens_at_lo; b < kValueBuckets; ++b) {
+    coverage = coverage + open_first[b + 1] - close_first[b + 1];
+    coverage_floor = std::max(coverage_floor, coverage);
+    open_first[b + 1] += open_first[b];
+    close_first[b + 1] += close_first[b];
+  }
+  std::copy(open_first, open_first + kValueBuckets, open_fill);
+  std::copy(close_first, close_first + kValueBuckets, close_fill);
+  double* opens = hi + n;
+  double* closes = opens + n;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (lo[j] > hi[j]) continue;
+    if (lo[j] > alpha_lo) opens[open_fill[bucket_of(lo[j])]++] = lo[j];
+    if (hi[j] < alpha_hi) closes[close_fill[bucket_of(hi[j])]++] = hi[j];
+  }
+
+  // Sweep the ends grouped by value, opens before closes (intervals are
+  // closed).  Coverage peaks right after a group's opens; that plateau
+  // runs to the next end.  Among the plateaus reaching the maximum
+  // coverage, keep the first one closest to alpha = 0 -- the linearization
+  // is only trusted near the expansion point, so equal-yield moves should
+  // be as small as possible.  Only the buckets whose coverage can reach
+  // coverage_floor are sorted and swept; every maximal plateau lies in
+  // them.
+  std::size_t best_count = 0;
+  double chosen_lo = 0.0;
+  double chosen_hi = 0.0;
+  double chosen_distance = kInf;
+  const auto consider = [&](std::size_t count, double plateau_lo,
+                            double plateau_hi) {
+    if (count < best_count) return;
+    double distance = 0.0;
+    if (plateau_lo > 0.0)
+      distance = plateau_lo;
+    else if (plateau_hi < 0.0)
+      distance = -plateau_hi;
+    if (count > best_count || distance < chosen_distance) {
+      best_count = count;
+      chosen_distance = distance;
+      chosen_lo = plateau_lo;
+      chosen_hi = plateau_hi;
+    }
+  };
+  // The smallest end in the first non-empty bucket from b on, else the
+  // closes at alpha_hi.
+  const auto first_end_from = [&](std::size_t b) {
+    for (; b < kValueBuckets; ++b) {
+      if (open_first[b] == open_first[b + 1] &&
+          close_first[b] == close_first[b + 1])
+        continue;
+      double first = alpha_hi;
+      for (std::size_t i = open_first[b]; i < open_first[b + 1]; ++i)
+        first = std::min(first, opens[i]);
+      for (std::size_t i = close_first[b]; i < close_first[b + 1]; ++i)
+        first = std::min(first, closes[i]);
+      return first;
+    }
+    return alpha_hi;
+  };
+  if (opens_at_lo > 0)
+    consider(opens_at_lo, alpha_lo, first_end_from(0));
+  for (std::size_t b = 0, coverage = opens_at_lo; b < kValueBuckets; ++b) {
+    const std::size_t open_end = open_first[b + 1];
+    const std::size_t close_end = close_first[b + 1];
+    std::size_t next_open = open_first[b];
+    std::size_t next_close = close_first[b];
+    std::size_t current = coverage;
+    coverage = coverage + (open_end - next_open) - (close_end - next_close);
+    if (next_open == open_end ||
+        current + (open_end - next_open) < coverage_floor)
+      continue;
+    std::sort(opens + next_open, opens + open_end);
+    std::sort(closes + next_close, closes + close_end);
+    while (next_open < open_end) {
+      const double value = opens[next_open];
+      for (; next_close < close_end && closes[next_close] < value;
+           ++next_close)
+        --current;
+      for (; next_open < open_end && opens[next_open] == value; ++next_open)
+        ++current;
+      double next_end;
+      if (next_open < open_end &&
+          (next_close == close_end || opens[next_open] <= closes[next_close]))
+        next_end = opens[next_open];
+      else if (next_close < close_end)
+        next_end = closes[next_close];
+      else
+        next_end = first_end_from(b + 1);
+      consider(current, value, next_end);
     }
   }
 
   AlphaScan best;
-  best.alpha = 0.0;
-  best.passing = 0;
-  best.plateau_lo = best.plateau_hi = 0.0;
-  if (events.empty()) return best;
-
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.alpha != b.alpha) return a.alpha < b.alpha;
-    return a.delta > b.delta;  // open before close at the same alpha
-  });
-
-  // Pass 1: maximum coverage.
-  long current = 0;
-  long best_count = 0;
-  for (const Event& event : events) {
-    current += event.delta;
-    best_count = std::max(best_count, current);
-  }
-  if (best_count <= 0) return best;
-  best.passing = static_cast<std::size_t>(best_count);
-
-  // Pass 2: among all plateaus achieving the maximum, keep the one closest
-  // to alpha = 0 -- the linearization is only trusted near the expansion
-  // point, so equal-yield moves should be as small as possible.
-  current = 0;
-  double chosen_lo = 0.0;
-  double chosen_hi = 0.0;
-  double chosen_distance = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    current += events[i].delta;
-    if (current != best_count) continue;
-    const double lo = events[i].alpha;
-    const double hi = (i + 1 < events.size()) ? events[i + 1].alpha : lo;
-    double distance = 0.0;
-    if (lo > 0.0)
-      distance = lo;
-    else if (hi < 0.0)
-      distance = -hi;
-    if (distance < chosen_distance) {
-      chosen_distance = distance;
-      chosen_lo = lo;
-      chosen_hi = std::max(lo, hi);
-    }
-  }
+  if (best_count == 0) return best;
+  best.passing = best_count;
   best.plateau_lo = chosen_lo;
   best.plateau_hi = chosen_hi;
   // Enter the plateau from the zero-nearest edge with a 10% inset so the

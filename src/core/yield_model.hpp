@@ -12,15 +12,21 @@
 //
 // For the coordinate search (eq. 19) the 1-D problem
 // argmax_alpha Y_bar(d + alpha e_k) is solved *exactly*: each sample's
-// feasible alpha-interval is intersected over all models, and a sweep over
-// the sorted interval endpoints finds the maximum coverage, O(N log N) per
-// coordinate.  Of the plateaus reaching it, the one nearest alpha = 0 wins;
-// the returned alpha is 0 if that plateau contains 0, else its zero-nearest
-// edge moved 10% of the plateau width inwards -- the smallest move that
-// does not sit on a sample's pass/fail boundary.
+// feasible alpha-interval is intersected over all models (one contiguous
+// pass per model), and a sweep over the sorted interval endpoints finds the
+// maximum coverage.  Ends clipped to the scan interval are only counted.
+// The interior ends go to value buckets, and only the buckets where the
+// coverage can reach its maximum are sorted and swept: O(N) per coordinate
+// when the ends spread over the buckets, O(N log N) if they concentrate
+// into one.  Of the plateaus reaching the maximum, the one nearest
+// alpha = 0 wins (the first one on ties); the returned alpha is 0 if that
+// plateau contains 0, else its zero-nearest edge moved 10% of the plateau
+// width inwards -- the smallest move that does not sit on a sample's
+// pass/fail boundary.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -68,8 +74,10 @@ class LinearYieldModel {
   };
 
   /// Exactly maximizes the pass count over alpha in [alpha_lo, alpha_hi]
-  /// for the move d + alpha e_k.  Requires alpha_lo <= alpha_hi.
-  AlphaScan best_alpha(std::size_t k, double alpha_lo, double alpha_hi) const;
+  /// for the move d + alpha e_k.  Requires alpha_lo <= alpha_hi.  Not
+  /// const: the scan works in the model's grow-only scratch buffers, so
+  /// only the first scan allocates.
+  AlphaScan best_alpha(std::size_t k, double alpha_lo, double alpha_hi);
 
   /// Current margin of model l for sample j (diagnostics/tests).
   double sample_margin(std::size_t model, std::size_t j) const {
@@ -82,6 +90,12 @@ class LinearYieldModel {
   linalg::Matrixd base_;     // models x samples
   linalg::Vector offsets_;   // per model: grad_d^T (d - d_f)
   linalg::DesignVec d_;
+
+  // best_alpha scratch, sized on the first scan: each sample's interval
+  // (lo, hi) and the interior ends grouped by value bucket (opens, closes),
+  // N values each; the buckets' first indices and fill positions.
+  std::vector<double> scan_ends_;
+  std::vector<std::uint32_t> scan_buckets_;
 };
 
 }  // namespace mayo::core

@@ -175,6 +175,9 @@ struct Counters {
   Counter wc_warm_fallbacks; ///< warm starts that did not converge and ran
                              ///< the full multi-start search
 
+  Counter cs_scans;  ///< exact coordinate scans (best_alpha calls) of the
+                     ///< linear-model coordinate search
+
   Counter ac_stamps;  ///< AcSession netlist stamp passes
   Counter ac_probes;  ///< AcSession frequency solves
 
@@ -215,6 +218,7 @@ struct Counters {
     wc_out_of_reach.reset();
     wc_warm_starts.reset();
     wc_warm_fallbacks.reset();
+    cs_scans.reset();
     ac_stamps.reset();
     ac_probes.reset();
     dc_solves.reset();
@@ -294,6 +298,7 @@ class Registry {
     fn("wc.out_of_reach", c.wc_out_of_reach.value());
     fn("wc.warm_starts", c.wc_warm_starts.value());
     fn("wc.warm_fallbacks", c.wc_warm_fallbacks.value());
+    fn("cs.scans", c.cs_scans.value());
     fn("ac.stamps", c.ac_stamps.value());
     fn("ac.probes", c.ac_probes.value());
     fn("dc.solves", c.dc_solves.value());

@@ -18,7 +18,7 @@
 namespace mayo::core {
 namespace {
 
-/// A fully hand-built report: two phases, four counters, fixed values.
+/// A fully hand-built report: two phases, five counters, fixed values.
 RunReport golden_report() {
   RunReport report;
   report.label = "golden \"run\"";
@@ -28,6 +28,7 @@ RunReport golden_report() {
   report.counters.push_back({"probe_cache.hits", 12});
   report.counters.push_back({"eval.analyses", 15});
   report.counters.push_back({"eval.analyses_skipped", 5});
+  report.counters.push_back({"cs.scans", 45});
   report.counters.push_back({"mc.samples", 300});
   report.evaluations = {10, 300, 7, 2};
   report.optimizer.present = true;
@@ -53,6 +54,7 @@ constexpr const char* kGoldenJson =
     "    \"probe_cache.hits\": 12,\n"
     "    \"eval.analyses\": 15,\n"
     "    \"eval.analyses_skipped\": 5,\n"
+    "    \"cs.scans\": 45,\n"
     "    \"mc.samples\": 300\n"
     "  },\n"
     "  \"evaluations\": {\"optimization\": 10, \"verification\": 300, "
@@ -89,7 +91,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 35u);
+  ASSERT_EQ(report.counters.size(), 36u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");
@@ -104,7 +106,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
         "\"probe_cache.hits\"", "\"eval.analyses\"",
         "\"eval.analyses_skipped\"", "\"wc.iterations\"",
         "\"wc.out_of_reach\"", "\"wc.warm_starts\"",
-        "\"wc.warm_fallbacks\"", "\"dc.newton_iterations\"",
+        "\"wc.warm_fallbacks\"", "\"cs.scans\"", "\"dc.newton_iterations\"",
         "\"tran.seed_resets\"", "\"mc.samples\"", "\"mc.is.samples\"",
         "\"mc.is.ess_fallbacks\"", "\"audit.runs\"", "\"audit.rejects\"",
         "\"evaluations\"", "\"optimizer\": null"})
@@ -151,6 +153,7 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
     std::uint64_t mc_samples = 0;
     std::uint64_t wc_iterations = 0;
     std::uint64_t wc_warm_starts = 0;
+    std::uint64_t cs_scans = 0;
     for (const CounterReport& counter : report.counters) {
       if (counter.name == "probe_cache.hits" ||
           counter.name == "probe_cache.misses")
@@ -158,6 +161,7 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
       if (counter.name == "mc.samples") mc_samples = counter.value;
       if (counter.name == "wc.iterations") wc_iterations = counter.value;
       if (counter.name == "wc.warm_starts") wc_warm_starts = counter.value;
+      if (counter.name == "cs.scans") cs_scans = counter.value;
     }
     EXPECT_GT(probe_lookups, 0u);
     EXPECT_GE(mc_samples, 200u);
@@ -165,6 +169,8 @@ TEST(RunReportIntegration, OptimizeRunPopulatesPhasesAndCounters) {
     // The quadratic spec is mirrored, so every re-linearization follows
     // its worst-case point.
     EXPECT_GT(wc_warm_starts, 0u);
+    // Each accepted iterate ran one coordinate search.
+    EXPECT_GT(cs_scans, 0u);
   }
 }
 

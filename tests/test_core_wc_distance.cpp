@@ -40,6 +40,60 @@ class OvershootModel final : public PerformanceModel {
   Vector constraints(const DesignVec&) override { return Vector(0); }
 };
 
+/// A flat performance f = level over two statistical parameters: every
+/// margin gradient is zero, so each search start stops where it began.
+class FlatModel final : public PerformanceModel {
+ public:
+  explicit FlatModel(double level) : level_(level) {}
+  std::size_t num_performances() const override { return 1; }
+  std::size_t num_constraints() const override { return 0; }
+  linalg::PerfVec evaluate(const DesignVec&, const linalg::StatPhysVec&,
+                           const OperatingVec&) override {
+    return linalg::PerfVec{level_};
+  }
+  Vector constraints(const DesignVec&) override { return Vector(0); }
+
+ private:
+  double level_;
+};
+
+YieldProblem make_flat_problem(double level) {
+  auto problem = testing::make_synthetic_problem();
+  problem.model = std::make_shared<FlatModel>(level);
+  problem.specs = {{"f", SpecKind::kLowerBound, 0.0, "u", 1.0}};
+  problem.statistical = stats::CovarianceModel();
+  problem.statistical.add(stats::StatParam::global("s0", 0.0, 1.0));
+  problem.statistical.add(stats::StatParam::global("s1", 0.0, 1.0));
+  problem.validate();
+  return problem;
+}
+
+TEST(WcDistance, NonConvergedSearchReportsBetaOnTheSphere) {
+  // A flat spec stops every start on its zero gradient at s = 0, not
+  // converged.  beta is then +-max_radius with the sign of the nominal
+  // margin (not +-0), while s_wc, the margin and the gradient stay those
+  // of the point where the search stopped.
+  for (const double level : {-1.0, 1.0}) {
+    for (const double radius : {10.0, 4.0}) {
+      auto problem = make_flat_problem(level);
+      Evaluator ev(problem);
+      WcDistanceOptions options;
+      options.max_radius = radius;
+      const WorstCasePoint wc =
+          find_worst_case_point(ev, 0, DesignVec(problem.design.nominal),
+                                OperatingVec{0.0}, options);
+      SCOPED_TRACE(::testing::Message()
+                   << "level " << level << ", radius " << radius);
+      EXPECT_FALSE(wc.converged);
+      EXPECT_EQ(wc.margin_nominal, level);
+      EXPECT_EQ(wc.beta, level < 0.0 ? -radius : radius);
+      EXPECT_EQ(wc.s_wc.norm(), 0.0);
+      EXPECT_EQ(wc.margin_at_wc, level);
+      EXPECT_EQ(wc.gradient.norm(), 0.0);
+    }
+  }
+}
+
 TEST(WcDistance, LinearSpecClosedForm) {
   // margin = d0 + d1 - s0 - 2 s1 - theta; at theta_wc = 1 and d = (2, 1):
   // m0 = 2, g = (-1, -2, 0), beta = 2/sqrt(5).

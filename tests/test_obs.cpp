@@ -27,7 +27,7 @@ TEST(ObsRegistry, EnumeratesTheFixedCounterSchema) {
   std::vector<std::string> names;
   registry().each_counter(
       [&](const char* name, std::uint64_t) { names.emplace_back(name); });
-  EXPECT_EQ(names.size(), 35u);
+  EXPECT_EQ(names.size(), 36u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
             names.size());
   EXPECT_EQ(names.front(), "probe_cache.hits");
@@ -36,6 +36,10 @@ TEST(ObsRegistry, EnumeratesTheFixedCounterSchema) {
   ASSERT_GT(names.size(), 10u);
   EXPECT_EQ(names[9], "eval.analyses");
   EXPECT_EQ(names[10], "eval.analyses_skipped");
+  // The coordinate-search scan count follows the worst-case search group.
+  ASSERT_GT(names.size(), 15u);
+  EXPECT_EQ(names[14], "wc.warm_fallbacks");
+  EXPECT_EQ(names[15], "cs.scans");
 
   std::vector<std::string> phase_names;
   registry().each_phase([&](const char* name, const PhaseTimer&) {

@@ -52,14 +52,17 @@ one-line diff below):
                     including the simulator kernels under src/sim/) must
                     not construct linalg::Vector, Matrixd, Matrixc or
                     VectorC inside a loop -- workspaces are allocated
-                    once and reused.  The LU kernel (HOT_REGION_FILES)
-                    gets a function-scoped variant: inside the
-                    Lu::factor / solve_into bodies -- the
-                    per-Newton-iteration / per-probe paths -- no
-                    allocating call at all (push_back, resize, reserve,
-                    operator new, vector construction, ...); the rest
-                    of the file (workspace sizing, the allocating
-                    convenience solve) may allocate.  Deliberate
+                    once and reused.  The LU kernel and the exact
+                    coordinate scan (HOT_REGION_FILES) get a
+                    function-scoped variant: inside the Lu::factor /
+                    solve_into bodies -- the per-Newton-iteration /
+                    per-probe paths -- and the
+                    LinearYieldModel::best_alpha body -- one scan per
+                    coordinate visit -- no allocating call at all
+                    (push_back, resize, reserve, operator new, vector
+                    construction, ...); the rest of the file (workspace
+                    sizing, the allocating convenience solve) may
+                    allocate.  Deliberate
                     exceptions (grow-only buffers, handing ownership to
                     a cache) carry a "// hot-ok: <reason>" comment on
                     the same line.
@@ -136,11 +139,13 @@ HOT_FILES = {
 }
 
 # Function-scoped hot regions: the LU factor/solve bodies run once per
-# Newton iteration / AC probe and must stay allocation-free once the
-# workspace has its size; the rest of the file may allocate.  file ->
-# function names whose bodies are policed.
+# Newton iteration / AC probe, and the exact coordinate scan once per
+# coordinate visit of the coordinate search; they must stay
+# allocation-free once their scratch has its size; the rest of the file may
+# allocate.  file -> function names whose bodies are policed.
 HOT_REGION_FILES = {
     "src/linalg/lu.hpp": ("factor", "solve_into"),
+    "src/core/yield_model.cpp": ("best_alpha",),
 }
 
 # Any allocating call inside a hot-region function body: container
@@ -364,8 +369,8 @@ class Linter:
                     and HOT_REGION_ALLOC_RE.search(line)
                     and not sf.suppressed(lineno, "hot-ok:")):
                 self.report(sf.path, lineno, "hot-path-alloc",
-                            "allocation inside a numeric factor/solve "
-                            "body (move it to the workspace setup, or "
+                            "allocation inside a hot function body "
+                            "(move it to the workspace setup, or "
                             "annotate with // hot-ok: <reason>)")
             for ch in scan:
                 if ch == "{":

@@ -441,6 +441,44 @@ class LintRepoTest(unittest.TestCase):
                    "}\n")
         self.assertEqual(run_lint(self.root), [])
 
+    # -- hot-path-alloc: the exact coordinate scan ------------------------
+
+    SCAN = "src/core/yield_model.cpp"  # member of lint.HOT_REGION_FILES
+
+    def test_hot_region_alloc_in_best_alpha_flagged(self):
+        # A per-scan event vector is the allocation the region forbids.
+        self.write(self.SCAN,
+                   "LinearYieldModel::AlphaScan LinearYieldModel::best_alpha(\n"
+                   "    std::size_t k, double lo, double hi) {\n"
+                   "  std::vector<Event> events;\n"
+                   "  events.reserve(2 * num_samples());\n"
+                   "  return scan(events, k, lo, hi);\n"
+                   "}\n")
+        flagged = [v for v in run_lint(self.root)
+                   if v[2] == "hot-path-alloc" and v[0] == self.SCAN]
+        self.assertEqual(len(flagged), 2)
+
+    def test_hot_region_best_alpha_grow_only_scratch_allowed(self):
+        # The grow-only scratch carries hot-ok; the constructor and the
+        # other members of the file may allocate.
+        self.write(self.SCAN,
+                   "LinearYieldModel::LinearYieldModel(std::size_t n) {\n"
+                   "  rows_.reserve(n);\n"
+                   "}\n"
+                   "LinearYieldModel::AlphaScan LinearYieldModel::best_alpha(\n"
+                   "    std::size_t k, double lo, double hi) {\n"
+                   "  if (ends_.size() < n_) {\n"
+                   "    ends_.resize(n_);  // hot-ok: grow-only scratch\n"
+                   "  }\n"
+                   "  return scan(k, lo, hi);\n"
+                   "}\n"
+                   "std::vector<std::size_t> LinearYieldModel::bad() const {\n"
+                   "  std::vector<std::size_t> out;\n"
+                   "  out.push_back(0);\n"
+                   "  return out;\n"
+                   "}\n")
+        self.assertEqual(run_lint(self.root), [])
+
     # -- space-discipline --------------------------------------------------
 
     def test_raw_outside_whitelist_flagged(self):
