@@ -67,8 +67,11 @@ class FoldedCascode final : public OpampModel {
     double vcasc_n = 1.5;       ///< NMOS cascode bias above ground [V]
     double sat_margin = 0.05;   ///< required saturation margin [V]
     double sr_step = 0.5;       ///< input step of the slew bench [V]
-    double sr_t_stop = 120e-9;  ///< transient duration [s]
-    double sr_dt = 0.5e-9;      ///< transient base step [s]
+    /// Longest slew transient [s].  A run ends at its first point past 90%
+    /// of the swing to the stepped DC point; it reaches sr_t_stop only
+    /// when it never gets there or that DC solve fails.
+    double sr_t_stop = 120e-9;
+    double sr_dt = 0.5e-9;      ///< transient step [s]
   };
 
   FoldedCascode();  ///< default options

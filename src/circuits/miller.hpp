@@ -59,8 +59,11 @@ class Miller final : public OpampModel {
     double rz = 800.0;          ///< compensation nulling resistor [Ohm]
     double sat_margin = 0.05;   ///< required saturation margin [V]
     double sr_step = 0.5;       ///< input step of the slew bench [V]
-    double sr_t_stop = 1.2e-6;  ///< transient duration [s]
-    double sr_dt = 4e-9;        ///< transient base step [s]
+    /// Longest slew transient [s].  A run ends at its first point past 90%
+    /// of the swing to the stepped DC point; it reaches sr_t_stop only
+    /// when it never gets there or that DC solve fails.
+    double sr_t_stop = 1.2e-6;
+    double sr_dt = 4e-9;        ///< transient step [s]
   };
 
   Miller();  ///< default options

@@ -30,6 +30,9 @@ struct OpampModel::DesignContext {
   bool sr_done = false;
   bool sr_converged = false;
   Vector op_sr;  ///< nominal DC operating point of the unity-gain bench
+  bool settled_converged = false;
+  Vector op_settled;  ///< nominal DC point with the input stepped: the
+                      ///< state the step response settles to
   sim::TranResult sr_tran;  ///< nominal step response (seeds if converged)
 };
 
@@ -91,7 +94,18 @@ sim::GainBandwidth OpampModel::gain_bandwidth(const Vector& op,
                                      setup_.ft_high, bracket);
 }
 
+sim::DcResult OpampModel::settled_op(const Vector& theta,
+                                     const Vector* warm_start) {
+  Bench& sr = *sr_bench_;
+  const double vcm = 0.5 * theta[1];
+  sr.vinp->set_dc_value(vcm + setup_.sr_step);
+  sim::DcResult settled = solve_op(sr, Conditions{theta[0]}, warm_start);
+  sr.vinp->set_dc_value(vcm);
+  return settled;
+}
+
 sim::TranResult OpampModel::step_response(const Vector& op,
+                                          const Vector* settled,
                                           const Vector& theta,
                                           const sim::TranResult* seed) {
   Bench& sr = *sr_bench_;
@@ -103,11 +117,15 @@ sim::TranResult OpampModel::step_response(const Vector& op,
   sim::TranOptions tran;
   tran.t_stop = setup_.sr_t_stop;
   tran.dt = setup_.sr_dt;
-  // The input steps at t = 0+ and the output settles well before t_stop,
-  // so the step may grow up to the whole run on the flat tail.
-  tran.max_dt = setup_.sr_t_stop;
   tran.newton.workspace = &sr.newton;
   tran.seed = seed;
+  if (settled != nullptr) {
+    // The slew rate reads the waveform up to its first 90% crossing of the
+    // settled swing, so the run ends there.
+    const auto out = static_cast<std::size_t>(sr.out - 1);
+    tran.stop_node = sr.out;
+    tran.stop_level = sim::swing_level(op[out], (*settled)[out], 0.9);
+  }
   sim::TranResult tr =
       sim::solve_transient(sr.netlist, op, Conditions{theta[0]}, tran);
   sr.vinp->clear_waveform();
@@ -152,9 +170,16 @@ void OpampModel::ensure_sr_section(DesignContext& ctx, const Vector& d,
   ctx.sr_converged = op.converged;
   if (!op.converged) return;
   ctx.op_sr = op.solution;
+  // Warm-started from the cold point, so it too is a pure function of
+  // (d, theta).
+  const sim::DcResult settled = settled_op(theta, &ctx.op_sr);
+  ctx.settled_converged = settled.converged;
+  if (settled.converged) ctx.op_settled = settled.solution;
   // Nominal step response: it seeds the Newton iteration of every
   // sample's steps that fall on its own grid.
-  ctx.sr_tran = step_response(op.solution, theta, nullptr);
+  ctx.sr_tran = step_response(
+      op.solution, ctx.settled_converged ? &ctx.op_settled : nullptr, theta,
+      nullptr);
 }
 
 OpampModel::DesignContext& OpampModel::prepared_context(
@@ -210,11 +235,22 @@ void OpampModel::measure_sr(DesignContext& ctx, const Vector& d,
   const sim::DcResult op = solve_op(sr, Conditions{theta[0]},
                                     ctx.sr_converged ? &ctx.op_sr : nullptr);
   if (!op.converged) return;  // sr_valid stays false
+  const sim::DcResult settled = settled_op(
+      theta, ctx.settled_converged ? &ctx.op_settled : &op.solution);
   const sim::TranResult tr = step_response(
-      op.solution, theta, ctx.sr_tran.converged ? &ctx.sr_tran : nullptr);
+      op.solution, settled.converged ? &settled.solution : nullptr, theta,
+      ctx.sr_tran.converged ? &ctx.sr_tran : nullptr);
   if (!tr.converged) return;
-  out.sr_v_per_us =
-      1e-6 * sim::measure_slew_rate(tr.time, tr.node_voltage(sr.out));
+  const std::vector<double> v = tr.node_voltage(sr.out);
+  // A run stopped at its 90% crossing swings to the settled state.  One
+  // that ran to t_stop (no settled state, or the level never reached)
+  // swings to its value there.
+  double v_end = v.back();
+  if (tr.stopped)
+    v_end = settled.solution[static_cast<std::size_t>(sr.out - 1)];
+  else
+    obs::registry().counters.tran_slew_fallbacks.add();
+  out.sr_v_per_us = 1e-6 * sim::measure_slew_rate(tr.time, v, v_end);
   out.sr_valid = true;
 }
 
@@ -304,10 +340,10 @@ void OpampModel::evaluate_batch_analyses(
   if (out.rows() != s_block.rows() || out.cols() != num_performances())
     throw std::invalid_argument(
         "OpampModel::evaluate_batch_analyses: out shape mismatch");
-  // Hoist the nominal solves the requested benches seed from (bias point,
-  // ft bracket, slew trajectory) out of the sample loop; every row then
-  // runs the same per-sample code as evaluate_analyses(), so the results
-  // are bitwise-identical to the scalar path.
+  // Hoist the nominal solves the requested benches seed from (bias points,
+  // ft bracket, settled point, slew trajectory) out of the sample loop;
+  // every row then runs the same per-sample code as evaluate_analyses(),
+  // so the results are bitwise-identical to the scalar path.
   DesignContext& ctx = prepared_context(d, theta, analyses);
   if (batch_s_.size() != s_block.cols()) batch_s_ = Vector(s_block.cols());
   for (std::size_t j = 0; j < s_block.rows(); ++j) {

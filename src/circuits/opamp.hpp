@@ -74,8 +74,9 @@ class OpampModel : public core::PerformanceModel {
                       const linalg::OperatingVec& theta,
                       linalg::PerfBlockView out) override;
   /// Native batch path: the per-(d, theta) nominal solves the requested
-  /// benches seed from (bias point, ft bracket, slew trajectory) are built
-  /// once and every sample row reuses them as warm starts.  Row results
+  /// benches seed from (bias points, ft bracket, settled point, slew
+  /// trajectory) are built once and every sample row reuses them as warm
+  /// starts.  Row results
   /// are bitwise-identical to evaluate_analyses() because both run the
   /// same per-sample code against the same context.
   void evaluate_batch_analyses(const linalg::DesignVec& d,
@@ -134,8 +135,8 @@ class OpampModel : public core::PerformanceModel {
     std::size_t num_statistical = 0;        ///< statistical vector length
     double sat_margin = 0.0;                ///< required saturation margin [V]
     double sr_step = 0.0;                   ///< slew-bench input step [V]
-    double sr_t_stop = 0.0;                 ///< transient duration [s]
-    double sr_dt = 0.0;                     ///< transient base step [s]
+    double sr_t_stop = 0.0;                 ///< longest transient [s]
+    double sr_dt = 0.0;                     ///< transient step [s]
     linalg::Vector theta_nominal;           ///< operating point of constraints
   };
 
@@ -192,9 +193,16 @@ class OpampModel : public core::PerformanceModel {
   sim::GainBandwidth gain_bandwidth(const linalg::Vector& op,
                                     const circuit::Conditions& conditions,
                                     const sim::FtBracket* bracket);
+  /// DC operating point of the slew bench as apply() left it, but with
+  /// the input at vcm + sr_step: the state the step response settles to.
+  sim::DcResult settled_op(const linalg::Vector& theta,
+                           const linalg::Vector* warm_start);
   /// Step response of the slew bench from its operating point `op`,
-  /// Newton-seeded from `seed` where the two grids share a step.
+  /// Newton-seeded from `seed` where the two grids share a step.  Given
+  /// the `settled` state, the run ends at its first point past 90% of the
+  /// swing to it; without one it runs to sr_t_stop.
   sim::TranResult step_response(const linalg::Vector& op,
+                                const linalg::Vector* settled,
                                 const linalg::Vector& theta,
                                 const sim::TranResult* seed);
 

@@ -191,6 +191,10 @@ struct Counters {
   Counter tran_nonconverged;       ///< runs that gave up mid-trajectory
   Counter tran_seed_resets;        ///< warm-start seeds dropped after a
                                    ///< non-converged seeded step
+  Counter tran_slew_fallbacks;     ///< opamp slew runs measured against
+                                   ///< their value at t_stop: the stepped
+                                   ///< DC failed or the 90% level was
+                                   ///< never reached
 
   Counter mc_samples;  ///< MC verification samples accumulated
   Counter mc_blocks;   ///< MC verification sample blocks evaluated
@@ -229,6 +233,7 @@ struct Counters {
     tran_newton_iterations.reset();
     tran_nonconverged.reset();
     tran_seed_resets.reset();
+    tran_slew_fallbacks.reset();
     mc_samples.reset();
     mc_blocks.reset();
     mc_is_samples.reset();
@@ -309,6 +314,7 @@ class Registry {
     fn("tran.newton_iterations", c.tran_newton_iterations.value());
     fn("tran.nonconverged", c.tran_nonconverged.value());
     fn("tran.seed_resets", c.tran_seed_resets.value());
+    fn("tran.slew_fallbacks", c.tran_slew_fallbacks.value());
     fn("mc.samples", c.mc_samples.value());
     fn("mc.blocks", c.mc_blocks.value());
     fn("mc.is.samples", c.mc_is_samples.value());

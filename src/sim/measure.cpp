@@ -178,10 +178,10 @@ double measure_supply_power(
 }
 
 double measure_slew_rate(const std::vector<double>& time,
-                         const std::vector<double>& v) {
+                         const std::vector<double>& v, double v_end) {
   if (v.size() < 3 || time.size() != v.size()) return 0.0;
   const double v_start = v.front();
-  const double delta = v.back() - v_start;
+  const double delta = v_end - v_start;
   if (std::abs(delta) < 1e-6) return 0.0;
   // First crossing of `level` in the direction of the edge, linearly
   // interpolated between samples; -1 when the waveform never crosses.
@@ -196,8 +196,8 @@ double measure_slew_rate(const std::vector<double>& time,
     }
     return -1.0;
   };
-  const double t10 = crossing(v_start + 0.1 * delta);
-  const double t90 = crossing(v_start + 0.9 * delta);
+  const double t10 = crossing(swing_level(v_start, v_end, 0.1));
+  const double t90 = crossing(swing_level(v_start, v_end, 0.9));
   if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return 0.0;
   return 0.8 * std::abs(delta) / (t90 - t10);
 }

@@ -69,14 +69,25 @@ double measure_supply_power(const circuit::Netlist& netlist,
                             const linalg::Vector& operating_point,
                             const std::vector<const circuit::VoltageSource*>& supplies);
 
-/// 10%-90% slew rate [V/s] of a step response v(time): 80% of the total
-/// swing |v.back() - v.front()| over the time between the first 10% and
-/// the first 90% crossing, each linearly interpolated between samples.
-/// Rising and falling edges alike; 0 when the swing is below 1 uV, a level
-/// is never crossed, the waveform has fewer than three samples, or `time`
-/// and `v` differ in length.
+/// The level `fraction` of the way from v_start to v_end.  It is the 10%
+/// and 90% level of measure_slew_rate, bit for bit, so a transient stopped
+/// at swing_level(v_start, v_end, 0.9) ends on that measurement's first
+/// 90% crossing.
+inline double swing_level(double v_start, double v_end, double fraction) {
+  return v_start + fraction * (v_end - v_start);
+}
+
+/// 10%-90% slew rate [V/s] of a step response v(time) that swings from
+/// v.front() to `v_end`: 80% of the swing |v_end - v.front()| over the
+/// time between the first crossings of its 10% and 90% levels
+/// (swing_level), each linearly interpolated between samples.  `v_end` is
+/// the settled value, so the waveform may end at its 90% crossing; pass
+/// v.back() for a run long enough to settle.  Rising and falling edges
+/// alike; 0 when the swing is below 1 uV, a level is never crossed, the
+/// waveform has fewer than three samples, or `time` and `v` differ in
+/// length.
 double measure_slew_rate(const std::vector<double>& time,
-                         const std::vector<double>& v);
+                         const std::vector<double>& v, double v_end);
 
 /// Per-transistor DC operating info used for functional constraints.
 struct MosOperatingPoint {

@@ -85,41 +85,6 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
   return false;
 }
 
-/// Step, in base steps, after an accepted step of `stride` base steps (see
-/// TranOptions::max_dt): the largest power of two p <= 2 * stride with
-/// p * dt <= max_dt whose backward-Euler truncation estimate
-/// 1/2 (p dt)^2 max|v''| stays within 10 * vntol, and never below 1.  v''
-/// is the second divided difference of the last three accepted node
-/// voltages; 10 * vntol is the update size the step's own Newton loop
-/// accepts as converged, so a longer step errs by no more than Newton
-/// already tolerates.
-int next_stride(const TranResult& result, std::size_t num_nodes, int stride,
-                const TranOptions& options) {
-  const std::size_t m = result.time.size();
-  if (m < 3 || 2.0 * options.dt > options.max_dt) return 1;
-  const double t0 = result.time[m - 3];
-  const double t1 = result.time[m - 2];
-  const double t2 = result.time[m - 1];
-  const Vector& v0 = result.solutions[m - 3];
-  const Vector& v1 = result.solutions[m - 2];
-  const Vector& v2 = result.solutions[m - 1];
-  double curvature = 0.0;  // max |v''| over node voltages; NaN sticks
-  for (std::size_t i = 0; i + 1 < num_nodes; ++i) {
-    const double second = std::abs(
-        2.0 * ((v2[i] - v1[i]) / (t2 - t1) - (v1[i] - v0[i]) / (t1 - t0)) /
-        (t2 - t0));
-    if (std::isnan(second) || second > curvature) curvature = second;
-  }
-  const double bound = 10.0 * options.newton.vntol;
-  int next = 1;
-  while (next <= stride) {
-    const double h = static_cast<double>(2 * next) * options.dt;
-    if (h > options.max_dt || !(0.5 * h * h * curvature <= bound)) break;
-    next *= 2;
-  }
-  return next;
-}
-
 constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
 
 /// Index j with seed.time[j] == t_prev and seed.time[j + 1] == t, both
@@ -146,12 +111,14 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     throw std::invalid_argument("solve_transient: initial state size mismatch");
   if (!(options.dt > 0.0) || !(options.t_stop > 0.0))
     throw std::invalid_argument("solve_transient: dt and t_stop must be positive");
-  if (!(options.max_dt >= 0.0))
-    throw std::invalid_argument("solve_transient: max_dt must be non-negative");
-  if (options.max_dt > options.dt && options.method == TranMethod::kBdf2)
+  const bool stops = options.stop_node != circuit::kGround;
+  if (stops && (options.stop_node < 0 ||
+                static_cast<std::size_t>(options.stop_node) >=
+                    netlist.num_nodes() ||
+                !std::isfinite(options.stop_level)))
     throw std::invalid_argument(
-        "solve_transient: step growth (max_dt > dt) estimates backward "
-        "Euler's truncation error, not BDF2's");
+        "solve_transient: stop_node must be a node of the netlist and "
+        "stop_level finite");
   // Capacitors stamp companion conductances every step, so they count as
   // conduction edges for the transient boundary audit.
   audit::enforce_boundary(netlist, options.newton.audit,
@@ -177,16 +144,18 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
                              ? *options.newton.workspace
                              : local_system;
   NewtonScratch scratch;
+  // The stop reads one unknown; its side of the level at t = 0 sets the
+  // direction of the crossing.
+  const std::size_t stop_index =
+      stops ? static_cast<std::size_t>(options.stop_node - 1) : 0;
+  const bool rising = stops && initial[stop_index] < options.stop_level;
   const int steps = static_cast<int>(std::ceil(options.t_stop / options.dt));
   result.time.reserve(static_cast<std::size_t>(steps) + 1);
   result.solutions.reserve(static_cast<std::size_t>(steps) + 1);
-  // Accepted times are k * dt; each step advances k by `stride`.
-  int stride = 1;
-  for (int k = 0; k < steps;) {
-    int k_next = std::min(k + stride, steps);
-    double t =
-        std::min(static_cast<double>(k_next) * options.dt, options.t_stop);
-    double h = t - result.time.back();
+  for (int k = 1; k <= steps; ++k) {
+    const double t =
+        std::min(static_cast<double>(k) * options.dt, options.t_stop);
+    const double h = t - result.time.back();
     if (h <= 0.0) break;
     // BDF2 requires two equally spaced history points (full dt steps).
     const bool use_bdf2 = options.method == TranMethod::kBdf2 &&
@@ -229,16 +198,6 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
                             x, result.newton_iterations, system, scratch,
                             use_bdf2 ? &x_prev2 : nullptr);
     }
-    if (!step_ok && k_next - k > 1) {
-      // A grown step failed: fall back to the base step before halving.
-      // (Growth implies backward Euler, so there is no BDF2 history.)
-      k_next = k + 1;
-      t = std::min(static_cast<double>(k_next) * options.dt, options.t_stop);
-      h = t - result.time.back();
-      x = x_prev;
-      step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, t,
-                            x, result.newton_iterations, system, scratch);
-    }
     if (!step_ok) {
       // Retry once with half steps to get through sharp source edges.
       Vector x_half = x_prev;  // hot-ok: rare non-convergence retry path
@@ -270,8 +229,12 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     else
       x_prev2.resize(0);  // drops BDF2 history without reallocating
     x_prev = std::move(x);
-    stride = next_stride(result, netlist.num_nodes(), k_next - k, options);
-    k = k_next;
+    if (stops && result.time.size() >= 3 &&
+        (rising ? x_prev[stop_index] >= options.stop_level
+                : x_prev[stop_index] <= options.stop_level)) {
+      result.stopped = true;
+      break;
+    }
   }
   result.converged = true;
   tallies.tran_newton_iterations.add(

@@ -5,6 +5,7 @@
 #include "core/evaluator.hpp"
 #include "core/wc_distance.hpp"
 #include "core/wc_operating.hpp"
+#include "obs/obs.hpp"
 
 namespace mayo::circuits {
 namespace {
@@ -102,6 +103,32 @@ TEST_F(FoldedCascodeTest, TemperatureDegradesFt) {
   const auto hot = model->measure(d0, s0, Vector{358.15, 5.0});
   EXPECT_LT(hot.ft_mhz, cold.ft_mhz);
 }
+
+#if MAYO_OBS_ENABLED  // the counters are no-op shells under MAYO_OBS=OFF
+TEST_F(FoldedCascodeTest, SlewRunShortOfItsLevelIsReadAtTStop) {
+  // At the minimum-size box corner the nominal output, near 4.8 V/us,
+  // still reaches 90% of its settled swing within sr_t_stop.  -6 sigma on
+  // M3's threshold slows it below 4 V/us: that run reaches sr_t_stop
+  // first and is measured against its value there, which the fallback
+  // counter records.
+  const Vector d = problem.design.lower;
+  const obs::Counter& fallbacks = obs::registry().counters.tran_slew_fallbacks;
+  const std::uint64_t before = fallbacks.value();
+  const auto nominal = model->measure(d, s0, theta0);
+  ASSERT_TRUE(nominal.sr_valid);
+  EXPECT_EQ(fallbacks.value(), before);
+
+  linalg::StatUnitVec s_hat(Stats::kCount);
+  s_hat[Stats::kLocalFirst + 2] = -6.0;
+  const Vector s = problem.statistical.to_physical(s_hat, linalg::DesignVec(d))
+                       .raw();  // space-ok: measure() takes raw vectors
+  const auto slow = model->measure(d, s, theta0);
+  ASSERT_TRUE(slow.sr_valid);
+  EXPECT_EQ(fallbacks.value(), before + 1);
+  EXPECT_GT(slow.sr_v_per_us, 0.0);
+  EXPECT_LT(slow.sr_v_per_us, nominal.sr_v_per_us);
+}
+#endif
 
 TEST_F(FoldedCascodeTest, PelgromSigmaShrinksWithWidth) {
   const auto& cov = problem.statistical;

@@ -91,7 +91,7 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
   EXPECT_EQ(report.label, "schema probe");
   EXPECT_EQ(report.obs_enabled, obs::kEnabled);
   ASSERT_EQ(report.phases.size(), 7u);
-  ASSERT_EQ(report.counters.size(), 36u);
+  ASSERT_EQ(report.counters.size(), 37u);
   EXPECT_EQ(report.phases.front().name, "feasibility");
   EXPECT_EQ(report.phases.back().name, "is_verification");
   EXPECT_EQ(report.counters.front().name, "probe_cache.hits");
@@ -107,8 +107,9 @@ TEST(RunReportSnapshot, CarriesTheFullRegistrySchema) {
         "\"eval.analyses_skipped\"", "\"wc.iterations\"",
         "\"wc.out_of_reach\"", "\"wc.warm_starts\"",
         "\"wc.warm_fallbacks\"", "\"cs.scans\"", "\"dc.newton_iterations\"",
-        "\"tran.seed_resets\"", "\"mc.samples\"", "\"mc.is.samples\"",
-        "\"mc.is.ess_fallbacks\"", "\"audit.runs\"", "\"audit.rejects\"",
+        "\"tran.seed_resets\"", "\"tran.slew_fallbacks\"",
+        "\"mc.samples\"", "\"mc.is.samples\"", "\"mc.is.ess_fallbacks\"",
+        "\"audit.runs\"", "\"audit.rejects\"",
         "\"evaluations\"", "\"optimizer\": null"})
     EXPECT_NE(json.find(key), std::string::npos) << key;
 }

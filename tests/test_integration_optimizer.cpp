@@ -7,6 +7,7 @@
 #include "circuits/miller.hpp"
 #include "core/mismatch.hpp"
 #include "core/optimizer.hpp"
+#include "obs/obs.hpp"
 
 namespace mayo {
 namespace {
@@ -112,6 +113,29 @@ TEST(Integration, SimulationBudgetsAreModest) {
   EXPECT_LT(result.counts.optimization, 5000u);
   EXPECT_GT(result.counts.optimization, 50u);
 }
+
+#if MAYO_OBS_ENABLED  // the counters are no-op shells under MAYO_OBS=OFF
+TEST(Integration, Table7RunsMeasureEverySlewRunToItsSettledState) {
+  // The Table-7 optimizations at sample seed 42 (bench/table7_effort.cpp):
+  // every slew run reaches 90% of its stepped DC swing before sr_t_stop,
+  // so none is measured against its value at t_stop.
+  YieldOptimizerOptions options;
+  options.sample_seed = 42;
+  options.max_iterations = 4;
+  options.linear_samples = 10000;
+  options.run_verification = false;
+  const obs::Counter& fallbacks = obs::registry().counters.tran_slew_fallbacks;
+  const std::uint64_t before = fallbacks.value();
+  auto fc = FoldedCascode::make_problem();
+  Evaluator fc_ev(fc);
+  core::optimize_yield(fc_ev, options);
+  options.max_iterations = 3;
+  auto miller = Miller::make_problem();
+  Evaluator miller_ev(miller);
+  core::optimize_yield(miller_ev, options);
+  EXPECT_EQ(fallbacks.value(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace mayo

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/dc.hpp"
+#include "sim/transient.hpp"
 
 namespace mayo::sim {
 namespace {
@@ -52,8 +53,8 @@ TEST(Measure, SlewRateOfRisingAndFallingRamps) {
   std::vector<double> time, rise, fall_time, fall;
   ramp_step(1.0, 3.0, time, rise);
   ramp_step(3.0, 1.0, fall_time, fall);
-  EXPECT_NEAR(measure_slew_rate(time, rise), 1.0, 1e-12);
-  EXPECT_NEAR(measure_slew_rate(fall_time, fall), 1.0, 1e-12);
+  EXPECT_NEAR(measure_slew_rate(time, rise, rise.back()), 1.0, 1e-12);
+  EXPECT_NEAR(measure_slew_rate(fall_time, fall, fall.back()), 1.0, 1e-12);
 }
 
 TEST(Measure, SlewRateInterpolatesBetweenSamples) {
@@ -61,20 +62,86 @@ TEST(Measure, SlewRateInterpolatesBetweenSamples) {
   // interpolation places them at t = 0.1 and t = 0.9 exactly.
   const std::vector<double> time = {0.0, 1.0, 2.0};
   const std::vector<double> v = {0.0, 1.0, 1.0};
-  EXPECT_NEAR(measure_slew_rate(time, v), 0.8 / 0.8, 1e-12);
+  EXPECT_NEAR(measure_slew_rate(time, v, v.back()), 0.8 / 0.8, 1e-12);
+}
+
+TEST(Measure, SlewRateLevelsFollowTheExplicitEnd) {
+  // Two slopes: 1 V/unit up to 0.5 V at t = 0.5, then 0.25 V/unit up to
+  // 1 V at t = 2.5, flat until t = 4, sampled every 0.1.
+  std::vector<double> time, v;
+  for (int k = 0; k <= 40; ++k) {
+    const double t = 0.1 * k;
+    time.push_back(t);
+    v.push_back(t < 0.5 ? t : std::min(1.0, 0.5 + 0.25 * (t - 0.5)));
+  }
+  // End 1 V: levels 0.1 V (t = 0.1) and 0.9 V (t = 2.1).
+  EXPECT_NEAR(measure_slew_rate(time, v, 1.0), 0.8 / 2.0, 1e-9);
+  // End 0.5 V: both levels move onto the first slope, 0.05 V (t = 0.05)
+  // and 0.45 V (t = 0.45).
+  EXPECT_NEAR(measure_slew_rate(time, v, 0.5), 0.8 * 0.5 / 0.4, 1e-9);
+
+  // The waveform cut at its first point past the 90% level reads the
+  // same with the explicit end, but not against its own last point.
+  const double level = swing_level(v.front(), 1.0, 0.9);
+  std::size_t last = 0;
+  while (v[last] < level) ++last;
+  const std::vector<double> cut_time(time.begin(), time.begin() + last + 1);
+  const std::vector<double> cut(v.begin(), v.begin() + last + 1);
+  EXPECT_EQ(measure_slew_rate(cut_time, cut, 1.0),
+            measure_slew_rate(time, v, 1.0));
+  EXPECT_GT(measure_slew_rate(cut_time, cut, cut.back()),
+            1.05 * measure_slew_rate(time, v, 1.0));
+}
+
+TEST(Measure, ARunStoppedInsideItsFirstStepReadsTheFullRunSlewRate) {
+  // R = 1k, C = 1p (tau = 1 ns) under a 0 -> 1 V step on a 10 ns grid:
+  // the first step lands at 10/11 V, past the 90% level.  The run stopped
+  // there keeps three points and reads the full run's slew rate, not 0.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  const NodeId out = nl.add_node("out");
+  auto& vin = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+  nl.add<Resistor>("R1", in, out, 1e3);
+  nl.add<Capacitor>("C1", out, kGround, 1e-12);
+  const DcResult op = solve_dc(nl, Conditions{});
+  ASSERT_TRUE(op.converged);
+  vin.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 200e-9;
+  const TranResult full = solve_transient(nl, op.solution, Conditions{},
+                                          options);
+  ASSERT_TRUE(full.converged);
+  const std::vector<double> v_full = full.node_voltage(out);
+  const double sr_full = measure_slew_rate(full.time, v_full, v_full.back());
+  EXPECT_GT(sr_full, 0.0);
+
+  options.stop_node = out;
+  options.stop_level = swing_level(0.0, 1.0, 0.9);
+  const TranResult stopped = solve_transient(nl, op.solution, Conditions{},
+                                             options);
+  ASSERT_TRUE(stopped.stopped);
+  ASSERT_EQ(stopped.time.size(), 3u);
+  EXPECT_DOUBLE_EQ(
+      measure_slew_rate(stopped.time, stopped.node_voltage(out), 1.0),
+      sr_full);
 }
 
 TEST(Measure, SlewRateIsZeroWithoutAUsableEdge) {
   std::vector<double> time, v;
   ramp_step(2.0, 2.0 + 5e-7, time, v);  // swing below 1 uV
-  EXPECT_EQ(measure_slew_rate(time, v), 0.0);
+  EXPECT_EQ(measure_slew_rate(time, v, v.back()), 0.0);
   std::vector<double> flat_time, flat;
   ramp_step(1.5, 1.5, flat_time, flat);
-  EXPECT_EQ(measure_slew_rate(flat_time, flat), 0.0);
+  EXPECT_EQ(measure_slew_rate(flat_time, flat, flat.back()), 0.0);
+  // An end the waveform never gets near: no 90% crossing.
+  std::vector<double> ramp_time, ramp;
+  ramp_step(0.0, 1.0, ramp_time, ramp);
+  EXPECT_EQ(measure_slew_rate(ramp_time, ramp, 2.0), 0.0);
   // Two samples carry no crossing to interpolate between.
-  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 1.0}), 0.0);
+  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 1.0}, 1.0), 0.0);
   // Time and voltage of different lengths.
-  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 0.5, 1.0}), 0.0);
+  EXPECT_EQ(measure_slew_rate({0.0, 1.0}, {0.0, 0.5, 1.0}, 1.0), 0.0);
 }
 
 /// Ideal single-pole amplifier: VCVS gain A, then R-C pole.

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sim/dc.hpp"
 
 namespace mayo::sim {
@@ -81,11 +82,16 @@ TEST(Transient, ValidatesArguments) {
   EXPECT_THROW(solve_transient(nl, ok, Conditions{}, options),
                std::invalid_argument);
   options.dt = 1e-9;
-  for (const double max_dt : {-1e-9, std::nan("")}) {
-    options.max_dt = max_dt;
+  // A stop node outside the netlist, or a stop level that is not finite.
+  for (const NodeId node : {NodeId{-1}, NodeId{a + 1}}) {
+    options.stop_node = node;
     EXPECT_THROW(solve_transient(nl, ok, Conditions{}, options),
                  std::invalid_argument);
   }
+  options.stop_node = a;
+  options.stop_level = std::nan("");
+  EXPECT_THROW(solve_transient(nl, ok, Conditions{}, options),
+               std::invalid_argument);
 }
 
 TEST(Transient, RcDischargeConservesMonotonicity) {
@@ -193,15 +199,16 @@ TEST(Transient, BadSeedTrajectoryIsDroppedAfterFirstFailure) {
             reference.newton_iterations + options.newton.max_iterations);
 }
 
-/// R = 1k, C = 1n (tau = 1 us) driven by a source whose waveform the test
-/// sets; the step-growth tests integrate it well past its settling.
+/// R = 1k and C (1 nF: tau = 1 us) driven by a source at v0 until t = 0,
+/// then by the waveform the test sets.
 struct RcCircuit {
-  explicit RcCircuit(std::function<double(double)> waveform) {
+  explicit RcCircuit(std::function<double(double)> waveform, double v0 = 0.0,
+                     double c = 1e-9) {
     const NodeId in = nl.add_node("in");
     out = nl.add_node("out");
-    auto& vin = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+    auto& vin = nl.add<VoltageSource>("Vin", in, kGround, v0);
     nl.add<Resistor>("R1", in, out, 1e3);
-    nl.add<Capacitor>("C1", out, kGround, 1e-9);
+    nl.add<Capacitor>("C1", out, kGround, c);
     const DcResult dc = solve_dc(nl, Conditions{});
     EXPECT_TRUE(dc.converged);
     op = dc.solution;
@@ -218,88 +225,85 @@ struct RcCircuit {
 /// 0 -> 1 V step at t = 0+.
 double unit_step(double t) { return t > 0.0 ? 1.0 : 0.0; }
 
-/// Base steps of dt between accepted times: every time must be exactly
-/// k * dt, except a last one clipped at t_stop.
-std::vector<long long> strides(const TranResult& r, const TranOptions& o) {
-  std::vector<long long> out;
-  long long k_prev = 0;
-  for (std::size_t i = 1; i < r.time.size(); ++i) {
-    const long long k = std::llround(r.time[i] / o.dt);
-    if (!(i + 1 == r.time.size() && r.time[i] == o.t_stop)) {
-      EXPECT_EQ(r.time[i], static_cast<double>(k) * o.dt) << "point " << i;
-    }
-    out.push_back(k - k_prev);
-    k_prev = k;
+/// The first `count` points of `full`, bit for bit.
+void expect_prefix(const TranResult& run, const TranResult& full,
+                   std::size_t count) {
+  ASSERT_EQ(run.time.size(), count);
+  ASSERT_LE(count, full.time.size());
+  for (std::size_t k = 0; k < count; ++k) {
+    EXPECT_EQ(run.time[k], full.time[k]) << "point " << k;
+    for (std::size_t i = 0; i < full.solutions[k].size(); ++i)
+      EXPECT_EQ(run.solutions[k][i], full.solutions[k][i])
+          << "point " << k << " unknown " << i;
   }
-  return out;
 }
 
-TEST(TransientStepGrowth, TimesStayOnTheBaseGridAndNeverBelowDt) {
-  // At rest until a 1 V step at 2 us: the flat start doubles the step up
-  // to max_dt, the edge sends it back to dt, and the settling tail grows
-  // it again as the truncation estimate allows.
-  RcCircuit rc([](double t) { return t > 2e-6 ? 1.0 : 0.0; });
+/// Index of the first point of `v`, from the second step on, that has
+/// reached `level` (>= rising, <= falling); v.size() when none has.
+std::size_t first_past(const std::vector<double>& v, double level,
+                       bool rising) {
+  for (std::size_t k = 2; k < v.size(); ++k)
+    if (rising ? v[k] >= level : v[k] <= level) return k;
+  return v.size();
+}
+
+TEST(TransientStop, EndsAtTheFirstPointPastTheLevelAsAPrefixOfTheFullRun) {
+  // Rising: 0 -> 1 V.  Falling: 1 -> 0 V from a charged start.
+  for (const bool rising : {true, false}) {
+    RcCircuit rc(rising ? unit_step : +[](double) { return 0.0; },
+                 rising ? 0.0 : 1.0);
+    TranOptions options;
+    options.dt = 10e-9;
+    options.t_stop = 5e-6;
+    const TranResult full = rc.run(options);
+    ASSERT_TRUE(full.converged);
+    EXPECT_FALSE(full.stopped);
+    const double level = rising ? 0.9 : 0.1;
+    const std::size_t last =
+        first_past(full.node_voltage(rc.out), level, rising);
+    ASSERT_LT(last, full.time.size() - 1) << "the full run never got there";
+
+    options.stop_node = rc.out;
+    options.stop_level = level;
+    const TranResult stopped = rc.run(options);
+    ASSERT_TRUE(stopped.converged);
+    EXPECT_TRUE(stopped.stopped);
+    expect_prefix(stopped, full, last + 1);
+  }
+}
+
+TEST(TransientStop, NeverStopsBeforeTheSecondStep) {
+  // tau = 1 ns against a 10 ns step: the first step already lands at
+  // 10/11 of the swing, past the 0.5 V level.
+  RcCircuit rc(unit_step, 0.0, 1e-12);
   TranOptions options;
   options.dt = 10e-9;
-  options.t_stop = 20.003e-6;  // not a multiple of dt: the last step clips
-  options.max_dt = 1e-6;
+  options.t_stop = 1e-6;
+  options.stop_node = rc.out;
+  options.stop_level = 0.5;
   const TranResult r = rc.run(options);
   ASSERT_TRUE(r.converged);
+  EXPECT_TRUE(r.stopped);
+  ASSERT_EQ(r.time.size(), 3u);
+  EXPECT_GT(r.node_voltage(rc.out)[1], options.stop_level);
+}
+
+TEST(TransientStop, ALevelNeverReachedRunsToTStop) {
+  RcCircuit rc(unit_step);
+  TranOptions options;
+  options.dt = 10e-9;
+  options.t_stop = 1e-6;
+  const TranResult full = rc.run(options);
+  options.stop_node = rc.out;
+  options.stop_level = 1.5;  // beyond the 1 V swing
+  const TranResult r = rc.run(options);
+  ASSERT_TRUE(r.converged);
+  EXPECT_FALSE(r.stopped);
   EXPECT_EQ(r.time.back(), options.t_stop);
-  const std::vector<long long> k = strides(r, options);
-  long long longest = 0;
-  for (std::size_t i = 0; i + 1 < k.size(); ++i) {  // the last one clips
-    EXPECT_GE(k[i], 1) << "step " << i;
-    EXPECT_EQ(k[i] & (k[i] - 1), 0) << "step " << i << " is " << k[i];
-    if (i > 0) {
-      EXPECT_LE(k[i], 2 * k[i - 1]) << "step " << i;
-    }
-    EXPECT_LE(static_cast<double>(k[i]) * options.dt, options.max_dt);
-    longest = std::max(longest, k[i]);
-  }
-  EXPECT_GE(k.back(), 1);
-  EXPECT_GT(longest, 8);  // the settled tail did grow
+  expect_prefix(r, full, full.time.size());
 }
 
-TEST(TransientStepGrowth, MatchesTheFixedGridUntilItsFirstLongerStep) {
-  RcCircuit rc(unit_step);
-  TranOptions options;
-  options.dt = 10e-9;
-  options.t_stop = 20e-6;
-  const TranResult fixed = rc.run(options);
-  options.max_dt = 1e-6;
-  const TranResult grown = rc.run(options);
-  ASSERT_TRUE(fixed.converged);
-  ASSERT_TRUE(grown.converged);
-  std::size_t first_long = 1;
-  while (first_long < grown.time.size() &&
-         grown.time[first_long] == fixed.time[first_long])
-    ++first_long;
-  ASSERT_LT(first_long, grown.time.size()) << "the run never grew its step";
-  EXPECT_GT(grown.time[first_long], fixed.time[first_long]);
-  for (std::size_t k = 0; k < first_long; ++k)
-    for (std::size_t i = 0; i < fixed.solutions[k].size(); ++i)
-      EXPECT_EQ(grown.solutions[k][i], fixed.solutions[k][i])
-          << "point " << k << " unknown " << i;
-}
-
-TEST(TransientStepGrowth, RcStepEndsWithinTheNewtonToleranceInFewerSteps) {
-  RcCircuit rc(unit_step);
-  TranOptions options;
-  options.dt = 10e-9;
-  options.t_stop = 20e-6;
-  const TranResult fixed = rc.run(options);
-  options.max_dt = options.t_stop;
-  const TranResult grown = rc.run(options);
-  ASSERT_TRUE(fixed.converged);
-  ASSERT_TRUE(grown.converged);
-  EXPECT_EQ(grown.time.back(), fixed.time.back());
-  EXPECT_NEAR(grown.node_voltage(rc.out).back(),
-              fixed.node_voltage(rc.out).back(), 10.0 * options.newton.vntol);
-  EXPECT_LT(grown.time.size(), fixed.time.size());
-}
-
-TEST(TransientStepGrowth, SeedOnAnotherGridLeavesTheRunUnseeded) {
+TEST(TransientSeed, SeedOnAnotherGridLeavesTheRunUnseeded) {
   // The seed shares every other time point with the run but never both
   // ends of a step, so no step may seed.  Its solutions are poisoned
   // (+100 V per point) so that any use would show.
@@ -329,42 +333,40 @@ TEST(TransientStepGrowth, SeedOnAnotherGridLeavesTheRunUnseeded) {
           << "point " << k << " unknown " << i;
 }
 
-TEST(TransientStepGrowth, FailedLongerStepRetriesAtTheBaseStep) {
-  // At rest until a 5 V ramp over 1.5..1.6 us: the step grows to 64 dt
-  // (640 ns) on the flat start, and the step from 1.28 us to 1.92 us
-  // meets the whole 5 V edge, which the 0.4 V damping clamp cannot walk
-  // in 8 Newton iterations.  Halving that step still meets the whole
-  // edge; only the retry at dt (1.28 -> 1.29 us, still flat) converges.
-  RcCircuit rc([](double t) {
-    return std::clamp((t - 1.5e-6) / 100e-9, 0.0, 1.0) * 5.0;
-  });
-  TranOptions options;
-  options.dt = 10e-9;
-  options.t_stop = 3e-6;
-  options.newton.max_iterations = 8;
-  ASSERT_TRUE(rc.run(options).converged);  // the fixed grid manages too
-  options.max_dt = 640e-9;
-  const TranResult r = rc.run(options);
-  ASSERT_TRUE(r.converged);
-  strides(r, options);  // every time on the k * dt grid
-  const auto before =
-      std::find(r.time.begin(), r.time.end(), 128.0 * options.dt);
-  ASSERT_NE(before, r.time.end());
-  ASSERT_NE(before + 1, r.time.end());
-  EXPECT_EQ(*(before + 1), 129.0 * options.dt);
-}
-
-TEST(TransientStepGrowth, Bdf2RejectsStepGrowth) {
-  // The growth rule estimates backward Euler's truncation error.
+TEST(TransientSeed, ASeedShorterThanTheRunSeedsExactlyItsPrefix) {
+  // The seed is the same run stopped at 0.5 V, so it covers the first m
+  // steps.  On the linear RC a step seeded from its own trajectory starts
+  // at its solution and converges in one Newton iteration instead of two
+  // or more, so the iteration counts show which steps were seeded.
   RcCircuit rc(unit_step);
   TranOptions options;
   options.dt = 10e-9;
-  options.t_stop = 100e-9;
-  options.method = TranMethod::kBdf2;
-  options.max_dt = 2.0 * options.dt;
-  EXPECT_THROW(rc.run(options), std::invalid_argument);
-  options.max_dt = options.dt;  // no growth possible
-  EXPECT_TRUE(rc.run(options).converged);
+  options.t_stop = 1e-6;
+  const TranResult unseeded = rc.run(options);
+  ASSERT_TRUE(unseeded.converged);
+  TranOptions to_half = options;
+  to_half.stop_node = rc.out;
+  to_half.stop_level = 0.5;
+  const TranResult prefix = rc.run(to_half);
+  ASSERT_TRUE(prefix.stopped);
+  const int prefix_steps = static_cast<int>(prefix.time.size()) - 1;
+  const int all_steps = static_cast<int>(unseeded.time.size()) - 1;
+  ASSERT_LT(prefix_steps, all_steps);
+
+  options.seed = &unseeded;
+  EXPECT_EQ(rc.run(options).newton_iterations, all_steps);
+
+  const obs::Counters& c = obs::registry().counters;
+  const std::uint64_t resets = c.tran_seed_resets.value();
+  options.seed = &prefix;
+  const TranResult seeded = rc.run(options);
+  ASSERT_TRUE(seeded.converged);
+  // One iteration per seeded step, then the unseeded run's own tail.
+  EXPECT_EQ(seeded.newton_iterations,
+            prefix_steps +
+                (unseeded.newton_iterations - prefix.newton_iterations));
+  EXPECT_EQ(c.tran_seed_resets.value(), resets);  // no reset, none counted
+  expect_prefix(seeded, unseeded, unseeded.time.size());
 }
 
 TEST(SlopeHelpers, MaxSlope) {

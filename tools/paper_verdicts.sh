@@ -10,8 +10,11 @@
 # many seeds it holds, and a deviation at a seed other than 42 is reported
 # there but does not fail the run.  The fig benches run no optimization
 # and take no seed: they run once and their claim lines read OK or
-# DEVIATES.  Outputs are written to <output-dir>/seed-<S>/<bench>.txt and
-# <output-dir>/<fig-bench>.txt (CI uploads the directory as an artifact).
+# DEVIATES.  After the claim lines, one line lists table7_effort's
+# folded-cascode/Miller simulation counts per seed ("table7 sims: 42
+# 2122/371, 1 ...").  Outputs are written to
+# <output-dir>/seed-<S>/<bench>.txt and <output-dir>/<fig-bench>.txt (CI
+# uploads the directory as an artifact).
 #
 # Usage: tools/paper_verdicts.sh [--seeds "42 1 2 ..."] <build-dir> [output-dir]
 set -euo pipefail
@@ -87,6 +90,16 @@ awk -F'|' -v total="${#seeds[@]}" '
           line = key ": OK at " ok[key] + 0 " of " total " seeds"
           if (bad[key] != "") line = line " (DEVIATES at" bad[key] ")"
           print line } }' "${claims}"
+
+# Table 7's folded-cascode/Miller simulation counts at each seed, so a
+# trajectory that moves at any seed shows here, not only in the outputs.
+counts=""
+for seed in "${seeds[@]}"; do
+  sims="$(sed -nE 's/^  optimization needs only .* measured: ([0-9]+) \/ ([0-9]+) .*/\1\/\2/p' \
+          "${OUT_DIR}/seed-${seed}/table7_effort.txt" 2>/dev/null || true)"
+  counts="${counts:+${counts}, }${seed} ${sims:-n/a}"
+done
+echo "table7 sims: ${counts}"
 
 echo "paper_verdicts: ${checked} bench runs (fig benches once, the rest at" \
      "seeds ${SEEDS}), ${failures} failure(s), outputs in ${OUT_DIR}/"
