@@ -2,7 +2,7 @@
 //   * dense LU / Cholesky factorizations (simulator + covariance factors),
 //   * DC / AC / transient solves of the folded-cascode netlist,
 //   * a full performance evaluation f(d, s, theta),
-//   * the slew-rate transient alone,
+//   * the slew-rate transient alone, and each opamp analysis alone,
 //   * the Monte-Carlo yield estimate: full re-evaluation vs. the O(1)
 //     incremental coordinate update of paper eq. (20),
 //   * the exact 1-D coordinate maximization (best_alpha) on both opamps,
@@ -207,6 +207,59 @@ BENCHMARK(BM_SlewBench)
     ->Arg(1)
     ->ArgName("miller")
     ->Unit(benchmark::kMillisecond);
+
+/// One analysis of the folded cascode optimized at Table-7 options (seed
+/// 42; the design the end-to-end benchmark's verification workload pins)
+/// at fresh samples: each iteration evaluates the next of 256 mismatch
+/// samples at the nominal operating point, requesting the analysis that
+/// measures `performance` (power, A0, f_t, SR+), or every analysis for a
+/// negative index.  Only the design context, built before timing, is
+/// reused.  Counters give the DC and AC solves per evaluation (zero under
+/// MAYO_OBS=OFF).
+void BM_OpampAnalyses(benchmark::State& state, int performance) {
+  const core::YieldProblem problem = circuits::FoldedCascode::make_problem();
+  core::PerformanceModel& model = *problem.model;
+  const linalg::DesignVec d{7.9969771444780079e-05, 2.6006396264899676e-05,
+                            3.8154545795207499e-05, 1.9622502321068214e-05,
+                            1.9101235641826773e-05, 4.0000000000000003e-05,
+                            5.0000000000000002e-05};
+  const linalg::OperatingVec theta(problem.operating.nominal);
+  const stats::SampleSet unit(256, problem.statistical.dimension(), 13);
+  std::vector<linalg::StatPhysVec> samples;
+  for (std::size_t j = 0; j < unit.count(); ++j) {
+    linalg::StatUnitVec s_hat(problem.statistical.dimension());
+    for (std::size_t i = 0; i < s_hat.size(); ++i) s_hat[i] = unit.sample(j)[i];
+    samples.push_back(problem.statistical.to_physical(s_hat, d));
+  }
+  core::AnalysisMask analyses = 0;
+  for (std::size_t i = 0; i < model.num_performances(); ++i) {
+    if (performance < 0 || static_cast<std::size_t>(performance) == i)
+      analyses |= core::analysis_bit(model.analysis_of(i));
+  }
+  model.evaluate_analyses(d, samples.back(), theta, analyses);  // context
+  const obs::Counters& c = obs::registry().counters;
+  const std::uint64_t dc = c.dc_solves.value();
+  const std::uint64_t ac = c.ac_probes.value();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.evaluate_analyses(d, samples[next], theta, analyses));
+    next = (next + 1) % samples.size();
+  }
+  const double evals = static_cast<double>(state.iterations());
+  state.counters["dc_solves"] =
+      static_cast<double>(c.dc_solves.value() - dc) / evals;
+  state.counters["ac_solves"] =
+      static_cast<double>(c.ac_probes.value() - ac) / evals;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_OpampAnalyses, operating_point, 4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_OpampAnalyses, gain, 0)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_OpampAnalyses, crossing, 1)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_OpampAnalyses, slew, 3)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_OpampAnalyses, all, -1)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchEvalFoldedCascode(benchmark::State& state) {
   // Batch-vs-scalar throughput of the evaluation spine.  Every iteration

@@ -6,12 +6,12 @@
 // simulation *counts* are the comparable quantity.)
 //
 // A simulation is one probed (d, s, theta) point.  Next to it the table
-// shows the testbench runs behind those points: each opamp point has an AC
-// bench and a transient slew bench, and a worst-case search for one spec
-// runs only the bench that measures it (obs counters eval.analyses,
-// eval.analyses_skipped and tran.solves), and the transients' cost: their
-// accepted time steps and Newton iterations (tran.steps,
-// tran.newton_iterations).  The next four columns show where
+// shows the solves behind those points: a worst-case search for one spec
+// runs only the analysis that measures it, so a power probe runs one DC
+// solve, a CMRR probe one DC and two AC solves and an f_t probe the
+// crossing search (obs counters dc.solves, ac.probes and tran.solves), and
+// the transients' cost: their accepted time steps and Newton iterations
+// (tran.steps, tran.newton_iterations).  The next four columns show where
 // the worst-case searches spend their simulations: sequential-linearization
 // iterations over all starts, each a forward-difference gradient, the
 // starts stopped on the trust sphere because their spec is out of reach
@@ -37,8 +37,8 @@ namespace {
 /// One circuit's Table-7 run: the optimization plus its testbench counters.
 struct Effort {
   core::YieldOptimizationResult result;
-  std::uint64_t analyses = 0;  ///< testbench runs
-  std::uint64_t skipped = 0;   ///< testbench runs a full evaluation adds
+  std::uint64_t dc_solves = 0;
+  std::uint64_t ac_solves = 0;
   std::uint64_t tran_solves = 0;
   std::uint64_t tran_steps = 0;
   std::uint64_t tran_newton = 0;
@@ -60,8 +60,8 @@ Effort run(core::YieldProblem problem,
   Effort effort;
   effort.result = core::optimize_yield(evaluator, options);
   const obs::Counters& c = obs::registry().counters;
-  effort.analyses = c.eval_analyses.value();
-  effort.skipped = c.eval_analyses_skipped.value();
+  effort.dc_solves = c.dc_solves.value();
+  effort.ac_solves = c.ac_probes.value();
   effort.tran_solves = c.tran_solves.value();
   effort.tran_steps = c.tran_steps.value();
   effort.tran_newton = c.tran_newton_iterations.value();
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
   const core::YieldOptimizationResult& fc = fc_effort.result;
   const core::YieldOptimizationResult& miller = miller_effort.result;
 
-  core::TextTable table({"Circuit", "# Simulations", "# Testbench runs",
-                         "skipped", "transients", "time steps",
+  core::TextTable table({"Circuit", "# Simulations", "DC solves",
+                         "AC solves", "transients", "time steps",
                          "tran Newton", "WC iterations",
                          "out of reach", "warm starts", "warm fallbacks",
                          "CS scans", "Wall clock", "paper # sims",
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   const auto add_row = [&](const char* name, const Effort& effort,
                            const char* paper_sims, const char* paper_wall) {
     table.add_row({name, std::to_string(effort.sims()),
-                   counter(effort.analyses), counter(effort.skipped),
+                   counter(effort.dc_solves), counter(effort.ac_solves),
                    counter(effort.tran_solves), counter(effort.tran_steps),
                    counter(effort.tran_newton),
                    counter(effort.wc_iterations),
@@ -150,10 +150,11 @@ int main(int argc, char** argv) {
   std::printf("\nNote: counts exclude the verification Monte Carlo (the paper "
               "reports optimization effort; verification adds "
               "N_samples x #distinct-corners evaluations per trace row).\n"
-              "A simulation is one probed (d, s, theta) point; testbench runs "
-              "count the AC and slew benches actually run at those points, "
-              "'skipped' the benches a full evaluation of each new point "
-              "would have added, 'transients' every transient solve, 'time "
+              "A simulation is one probed (d, s, theta) point; 'DC solves' "
+              "and 'AC solves' count the operating-point and small-signal "
+              "solves actually run at those points (each point runs only the "
+              "analyses its request reads), 'transients' every transient "
+              "solve, 'time "
               "steps' and 'tran Newton' their accepted time steps and Newton "
               "iterations; "
               "'WC iterations' counts worst-case search iterations over all "

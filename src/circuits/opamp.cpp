@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "sim/measure.hpp"
 
 namespace mayo::circuits {
 
@@ -83,15 +84,12 @@ sim::DcResult OpampModel::solve_op(Bench& bench, const Conditions& conditions,
   return sim::solve_dc(bench.netlist, conditions, dc, warm_start);
 }
 
-sim::GainBandwidth OpampModel::gain_bandwidth(const Vector& op,
-                                              const Conditions& conditions,
-                                              const sim::FtBracket* bracket) {
+void OpampModel::stamp_differential(const Vector& op,
+                                    const Conditions& conditions) {
   Bench& ac = *ac_bench_;
   ac.vinp->set_ac_value({0.5, 0.0});
   ac.vinn->set_ac_value({-0.5, 0.0});
   ac_session_.stamp(ac.netlist, op, conditions);
-  return sim::measure_gain_bandwidth(ac_session_, ac.out, kFtLow,
-                                     setup_.ft_high, bracket);
 }
 
 sim::DcResult OpampModel::settled_op(const Vector& theta,
@@ -152,8 +150,9 @@ void OpampModel::ensure_ft_section(DesignContext& ctx, const Vector& d,
   ctx.ft_done = true;
   if (!ctx.ac_converged) return;  // ft_valid stays false
   apply(*ac_bench_, d, s_nominal_, theta);
-  const sim::GainBandwidth gb =
-      gain_bandwidth(ctx.op_ac, Conditions{theta[0]}, nullptr);
+  stamp_differential(ctx.op_ac, Conditions{theta[0]});
+  const sim::GainBandwidth gb = sim::measure_gain_bandwidth(
+      ac_session_, ac_bench_->out, kFtLow, setup_.ft_high, nullptr);
   if (!gb.ft_found) return;
   ctx.ft_bracket.f_lo = std::max(kFtLow, gb.ft_hz / kFtWiden);
   ctx.ft_bracket.f_hi = std::min(setup_.ft_high, gb.ft_hz * kFtWiden);
@@ -185,8 +184,10 @@ void OpampModel::ensure_sr_section(DesignContext& ctx, const Vector& d,
 OpampModel::DesignContext& OpampModel::prepared_context(
     const Vector& d, const Vector& theta, core::AnalysisMask analyses) {
   DesignContext& ctx = design_context(d, theta);
-  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
-    ensure_ft_section(ctx, d, theta);  // builds the AC section too
+  // Only the crossing search seeds from the nominal crossing.
+  if ((analyses & kAcAnalyses) != 0) ensure_ac_section(ctx, d, theta);
+  if ((analyses & core::analysis_bit(kCrossingAnalysis)) != 0)
+    ensure_ft_section(ctx, d, theta);
   if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
     ensure_sr_section(ctx, d, theta);
   return ctx;
@@ -196,35 +197,47 @@ OpampModel::DesignContext& OpampModel::prepared_context(
 
 void OpampModel::measure_ac(DesignContext& ctx, const Vector& d,
                             const Vector& s, const Vector& theta,
-                            Measurements& out) {
+                            core::AnalysisMask analyses, Measurements& out) {
   const Conditions conditions{theta[0]};
   Bench& ac = *ac_bench_;
   apply(ac, d, s, theta);
   const sim::DcResult op =
       solve_op(ac, conditions, ctx.ac_converged ? &ctx.op_ac : nullptr);
   if (!op.converged) return;  // ac_valid stays false
-
+  out.ac_valid = true;
   out.power_mw =
       1e3 * sim::measure_supply_power(ac.netlist, op.solution, {ac.vdd});
 
-  // One session stamp serves the whole A0/ft/PM measurement; the nominal
-  // crossing seeds the ft search.
-  const sim::GainBandwidth gb = gain_bandwidth(
-      op.solution, conditions, ctx.ft_valid ? &ctx.ft_bracket : nullptr);
-  out.a0_db = gb.a0_db;
-  out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
-  out.pm_deg = gb.ft_found ? gb.phase_margin_deg : 0.0;
+  const bool gain = (analyses & core::analysis_bit(kGainAnalysis)) != 0;
+  const bool crossing =
+      (analyses & core::analysis_bit(kCrossingAnalysis)) != 0;
+  if (!gain && !crossing) return;
+  // One stamp serves A0, the crossing search and CMRR.  A0 is the 1 Hz
+  // probe the crossing search starts from, so both analyses read it.
+  stamp_differential(op.solution, conditions);
+  if (crossing) {
+    // The nominal crossing seeds the search.
+    const sim::GainBandwidth gb =
+        sim::measure_gain_bandwidth(ac_session_, ac.out, kFtLow,
+                                    setup_.ft_high,
+                                    ctx.ft_valid ? &ctx.ft_bracket : nullptr);
+    out.a0_db = gb.a0_db;
+    out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
+    out.pm_deg = gb.ft_found ? gb.phase_margin_deg : 0.0;
+  } else {
+    out.a0_db = sim::to_db(ac_session_.node_voltage(kFtLow, ac.out));
+  }
 
-  if (measures_cmrr_) {
-    // Common-mode excitation for CMRR: only the excitation vector changed,
-    // but a re-stamp is one device sweep -- far cheaper than a solve.
+  if (gain && measures_cmrr_) {
+    // Common-mode drive changes only the excitation: the 1 Hz factors of
+    // the A0 probe serve it unless the crossing search ran in between.
     ac.vinp->set_ac_value({1.0, 0.0});
     ac.vinn->set_ac_value({1.0, 0.0});
-    ac_session_.stamp(ac.netlist, op.solution, conditions);
-    const double acm_db = sim::to_db(ac_session_.node_voltage(1.0, ac.out));
+    ac_session_.update_excitation(*ac.vinp);
+    ac_session_.update_excitation(*ac.vinn);
+    const double acm_db = sim::to_db(ac_session_.node_voltage(kFtLow, ac.out));
     out.cmrr_db = out.a0_db - acm_db;
   }
-  out.ac_valid = true;
 }
 
 void OpampModel::measure_sr(DesignContext& ctx, const Vector& d,
@@ -258,8 +271,8 @@ void OpampModel::measure_with_context(DesignContext& ctx, const Vector& d,
                                       const Vector& s, const Vector& theta,
                                       core::AnalysisMask analyses,
                                       Measurements& out) {
-  if ((analyses & core::analysis_bit(kAcAnalysis)) != 0)
-    measure_ac(ctx, d, s, theta, out);
+  if ((analyses & kAcAnalyses) != 0)
+    measure_ac(ctx, d, s, theta, analyses, out);
   if ((analyses & core::analysis_bit(kSlewAnalysis)) != 0)
     measure_sr(ctx, d, s, theta, out);
 }
@@ -275,16 +288,22 @@ OpampModel::Measurements OpampModel::measure(const Vector& d, const Vector& s,
 // ------------------------------------------------------------- evaluation --
 
 std::size_t OpampModel::analysis_of(std::size_t performance) const {
-  return setup_.performances.at(performance) == Performance::kSlewRate
-             ? kSlewAnalysis
-             : kAcAnalysis;
+  switch (setup_.performances.at(performance)) {
+    case Performance::kPower: return kOperatingPointAnalysis;
+    case Performance::kA0:
+    case Performance::kCmrr: return kGainAnalysis;
+    case Performance::kFt:
+    case Performance::kPhaseMargin: return kCrossingAnalysis;
+    case Performance::kSlewRate: break;
+  }
+  return kSlewAnalysis;
 }
 
 void OpampModel::pack_performances(const Measurements& m, double* out) const {
-  // A bench that failed to converge (or did not run) gets finite penalty
-  // values that fail its own specifications decisively; the other bench's
-  // entries do not depend on it, so a row never depends on which analyses
-  // were requested together.
+  // A bench that failed to converge gets finite penalty values that fail
+  // its own specifications decisively; the other bench's entries do not
+  // depend on it, so a row never depends on which analyses were requested
+  // together.  Entries of analyses that did not run are unspecified.
   const bool ac = m.ac_valid;
   for (std::size_t i = 0; i < setup_.performances.size(); ++i) {
     switch (setup_.performances[i]) {

@@ -7,13 +7,18 @@
 //     to every AC frequency of interest) measuring A0, f_t, phase margin,
 //     CMRR and power;
 //   * a unity-gain transient bench measuring the positive slew rate.
-// The two benches are the model's two analyses (analysis_of): a request
-// for an AC performance never runs the transient, a request for the slew
-// rate never runs the AC bench.
+// The model's analyses (analysis_of) are the parts of those benches a
+// performance reads.  Three share the AC bench's DC operating point: the
+// operating point alone (power), the 1 Hz gain (A0, and CMRR from a
+// common-mode solve on the same 1 Hz factorization) and the unity-gain
+// crossing (f_t and phase margin: the seeded bracket and the Ridders
+// search).  The fourth is the slew transient.  A request runs only the
+// probes of its analyses: a power request runs no AC probe, a CMRR request
+// no crossing search, an AC request never the transient.
 //
 // OpampModel owns everything between a model's apply() and the
 // PerformanceModel interface: the per-(d, theta) cache of nominal warm
-// starts, the two measurement halves, the failure penalties, the
+// starts, the measurement halves, the failure penalties, the
 // evaluation entry points and the saturation-margin constraints.  A
 // concrete opamp supplies its two netlists, apply(), and data fixed at
 // construction (Setup): which performances it reports in spec order, the
@@ -30,7 +35,6 @@
 #include "core/problem.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
-#include "sim/measure.hpp"
 #include "sim/solver.hpp"
 #include "sim/transient.hpp"
 
@@ -41,11 +45,22 @@ class OpampModel : public core::PerformanceModel {
   /// Performances an opamp testbench measures.
   enum class Performance { kA0, kFt, kCmrr, kPhaseMargin, kSlewRate, kPower };
 
-  /// The model's analyses: the open-loop AC bench (every performance but
-  /// the slew rate) and the unity-gain transient bench (SR+).
-  enum Analysis : std::size_t { kAcAnalysis = 0, kSlewAnalysis = 1 };
+  /// The model's analyses: three of the open-loop AC bench -- its DC
+  /// operating point (power), the 1 Hz gain (A0, CMRR) and the unity-gain
+  /// crossing (f_t, phase margin) -- and the unity-gain transient bench
+  /// (SR+).
+  enum Analysis : std::size_t {
+    kOperatingPointAnalysis = 0,
+    kGainAnalysis = 1,
+    kCrossingAnalysis = 2,
+    kSlewAnalysis = 3,
+  };
+  /// The analyses of the AC bench.
+  static constexpr core::AnalysisMask kAcAnalyses =
+      core::analysis_bit(kOperatingPointAnalysis) |
+      core::analysis_bit(kGainAnalysis) | core::analysis_bit(kCrossingAnalysis);
   static constexpr core::AnalysisMask kAllAnalyses =
-      core::analysis_bit(kAcAnalysis) | core::analysis_bit(kSlewAnalysis);
+      kAcAnalyses | core::analysis_bit(kSlewAnalysis);
 
   ~OpampModel() override;
 
@@ -62,19 +77,19 @@ class OpampModel : public core::PerformanceModel {
   linalg::PerfVec evaluate(const linalg::DesignVec& d,
                            const linalg::StatPhysVec& s,
                            const linalg::OperatingVec& theta) override;
-  /// Runs only the requested benches; each bench's entries are bitwise
-  /// those of evaluate(), and a bench that fails to converge penalizes
-  /// only its own performances.
+  /// Runs only the requested analyses; each analysis's entries are bitwise
+  /// those of evaluate(), and a bench whose DC point or transient fails to
+  /// converge penalizes only the performances of its own analyses.
   linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
                                     const linalg::StatPhysVec& s,
                                     const linalg::OperatingVec& theta,
                                     core::AnalysisMask analyses) override;
-  /// evaluate_batch_analyses() with both benches.
+  /// evaluate_batch_analyses() with every analysis.
   void evaluate_batch(const linalg::DesignVec& d, linalg::StatPhysBlock s_block,
                       const linalg::OperatingVec& theta,
                       linalg::PerfBlockView out) override;
   /// Native batch path: the per-(d, theta) nominal solves the requested
-  /// benches seed from (bias points, ft bracket, settled point, slew
+  /// analyses seed from (bias points, ft bracket, settled point, slew
   /// trajectory) are built once and every sample row reuses them as warm
   /// starts.  Row results
   /// are bitwise-identical to evaluate_analyses() because both run the
@@ -170,11 +185,11 @@ class OpampModel : public core::PerformanceModel {
   DesignContext& prepared_context(const linalg::Vector& d,
                                   const linalg::Vector& theta,
                                   core::AnalysisMask analyses);
-  /// Per-sample measurement halves: the AC bench and the slew bench, each
-  /// reading only its own context section.
+  /// Per-sample measurement halves: the requested analyses of the AC bench
+  /// and the slew bench, each reading only its own context sections.
   void measure_ac(DesignContext& ctx, const linalg::Vector& d,
                   const linalg::Vector& s, const linalg::Vector& theta,
-                  Measurements& out);
+                  core::AnalysisMask analyses, Measurements& out);
   void measure_sr(DesignContext& ctx, const linalg::Vector& d,
                   const linalg::Vector& s, const linalg::Vector& theta,
                   Measurements& out);
@@ -189,10 +204,10 @@ class OpampModel : public core::PerformanceModel {
   /// DC operating point of a bench as apply() left it.
   sim::DcResult solve_op(Bench& bench, const circuit::Conditions& conditions,
                          const linalg::Vector* warm_start);
-  /// A0, ft and phase margin of the AC bench under differential drive.
-  sim::GainBandwidth gain_bandwidth(const linalg::Vector& op,
-                                    const circuit::Conditions& conditions,
-                                    const sim::FtBracket* bracket);
+  /// Stamps the AC bench's small-signal system at `op` into ac_session_,
+  /// under differential drive.
+  void stamp_differential(const linalg::Vector& op,
+                          const circuit::Conditions& conditions);
   /// DC operating point of the slew bench as apply() left it, but with
   /// the input at vcm + sr_step: the state the step response settles to.
   sim::DcResult settled_op(const linalg::Vector& theta,
@@ -214,8 +229,8 @@ class OpampModel : public core::PerformanceModel {
   core::BasicProbeCache<std::unique_ptr<DesignContext>> contexts_;
   std::vector<std::uint64_t> context_key_;  ///< key-building scratch
   linalg::Vector batch_s_;                  ///< row scratch for batches
-  /// Reusable small-signal workspace.  Every use fully re-stamps it, so it
-  /// carries cost (buffers, factors) but never results between calls.
+  /// Reusable small-signal workspace.  Every measurement re-stamps it first,
+  /// so it carries cost (buffers, factors) but never results between calls.
   sim::AcSession ac_session_;
 };
 

@@ -145,8 +145,11 @@ class PerformanceModel {
   /// model's analyses).  Contract: every entry of a performance whose
   /// analysis is requested is bitwise-identical to the same entry of
   /// evaluate(d, s, theta); the other entries are unspecified and never
-  /// read.  Skipping an analysis is a cost saving, never a semantic change.
-  /// The default runs the full evaluate().
+  /// read.  Skipping an analysis is a cost saving, never a semantic change,
+  /// with one consequence: an exception raised inside an analysis reaches
+  /// only the requests that include it (where evaluate() throws from an
+  /// opamp's AC probe, a power-only request returns).  The default runs the
+  /// full evaluate().
   virtual linalg::PerfVec evaluate_analyses(const linalg::DesignVec& d,
                                             const linalg::StatPhysVec& s,
                                             const linalg::OperatingVec& theta,

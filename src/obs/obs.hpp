@@ -178,8 +178,11 @@ struct Counters {
   Counter cs_scans;  ///< exact coordinate scans (best_alpha calls) of the
                      ///< linear-model coordinate search
 
-  Counter ac_stamps;  ///< AcSession netlist stamp passes
-  Counter ac_probes;  ///< AcSession frequency solves
+  Counter ac_stamps;          ///< AcSession netlist stamp passes
+  Counter ac_probes;          ///< AcSession frequency solves
+  Counter ac_factorizations;  ///< AcSession complex LU factorizations (a
+                              ///< solve at the frequency factored last
+                              ///< reuses the factors)
 
   Counter dc_solves;             ///< solve_dc calls
   Counter dc_newton_iterations;  ///< Newton iterations across all attempts
@@ -225,6 +228,7 @@ struct Counters {
     cs_scans.reset();
     ac_stamps.reset();
     ac_probes.reset();
+    ac_factorizations.reset();
     dc_solves.reset();
     dc_newton_iterations.reset();
     dc_nonconverged.reset();
@@ -306,6 +310,7 @@ class Registry {
     fn("cs.scans", c.cs_scans.value());
     fn("ac.stamps", c.ac_stamps.value());
     fn("ac.probes", c.ac_probes.value());
+    fn("ac.factorizations", c.ac_factorizations.value());
     fn("dc.solves", c.dc_solves.value());
     fn("dc.newton_iterations", c.dc_newton_iterations.value());
     fn("dc.nonconverged", c.dc_nonconverged.value());

@@ -1,6 +1,8 @@
 #include "sim/ac.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -45,6 +47,7 @@ void AcSession::stamp(const Netlist& netlist, const Vector& operating_point,
     c_.set_zero();
   }
   system_.bind_dense(g_, &c_);
+  factored_ = false;
   rhs_.assign(n_, std::complex<double>{});
   AcStamp stamp(operating_point, system_, rhs_, num_nodes_, conditions);
   for (const auto& device : netlist) device->stamp_ac(stamp);
@@ -54,20 +57,41 @@ void AcSession::stamp(const Netlist& netlist, const Vector& operating_point,
   obs::registry().counters.ac_stamps.add();
 }
 
+void AcSession::update_excitation(const circuit::VoltageSource& source) {
+  if (!stamped())
+    throw std::logic_error("AcSession::update_excitation: stamp() a netlist first");
+  const int row = static_cast<int>(num_nodes_) - 1 + source.branch();
+  if (source.branch() < 0 || static_cast<std::size_t>(row) >= n_)
+    throw std::invalid_argument(
+        "AcSession::update_excitation: source branch outside the system");
+  // As stamp() builds it: the branch row is zeroed, then the source adds
+  // its value (no other device stamps a voltage source's branch row).
+  std::complex<double>& b = rhs_[static_cast<std::size_t>(row)];
+  b = {};
+  b += source.ac_value();
+}
+
 const VectorC& AcSession::solve(double frequency_hz) {
   if (!stamped())
     throw std::logic_error("AcSession::solve: stamp() a netlist first");
-  const double omega = 2.0 * std::numbers::pi * frequency_hz;
-  solution_.resize(n_);
-  // Assemble overwrites every entry, so skip the workspace zeroing.
-  Matrixc& a = lu_.workspace(n_, /*zero=*/false);
-  linalg::assemble_complex_into(g_.data(), c_.data(), omega, a.data(),
-                                n_ * n_);
-  try {
-    lu_.refactor();
-  } catch (const linalg::SingularMatrixError& e) {
-    rethrow_singular(e);
+  if (!factored_ || std::bit_cast<std::uint64_t>(frequency_hz) !=
+                        std::bit_cast<std::uint64_t>(factored_hz_)) {
+    const double omega = 2.0 * std::numbers::pi * frequency_hz;
+    // Assemble overwrites every entry, so skip the workspace zeroing.
+    Matrixc& a = lu_.workspace(n_, /*zero=*/false);
+    linalg::assemble_complex_into(g_.data(), c_.data(), omega, a.data(),
+                                  n_ * n_);
+    factored_ = false;  // a singular refactor leaves no usable factors
+    try {
+      lu_.refactor();
+    } catch (const linalg::SingularMatrixError& e) {
+      rethrow_singular(e);
+    }
+    factored_ = true;
+    factored_hz_ = frequency_hz;
+    obs::registry().counters.ac_factorizations.add();
   }
+  solution_.resize(n_);
   lu_.solve_into(rhs_.data(), solution_.data());
   obs::registry().counters.ac_probes.add();
   return solution_;

@@ -6,7 +6,9 @@
 // exploits that split: the netlist is stamped once per (operating point,
 // conditions), then every frequency probe assembles A = G + j omega C
 // into a reusable complex LU workspace and solves in place.  No virtual
-// dispatch, no allocation per probe.
+// dispatch, no allocation per probe.  A probe at the frequency the session
+// last factored keeps the factors and only substitutes, so a second
+// excitation at one frequency (update_excitation) costs one substitution.
 //
 // The free functions below are thin conveniences over a fresh session.
 #pragma once
@@ -28,7 +30,9 @@ namespace mayo::sim {
 /// The stamped state is a pure function of (netlist device state,
 /// operating point, conditions): `stamp` fully rewrites G, C and b, so a
 /// session object reused across samples (or cached next to a design
-/// context) can only change evaluation cost, never a result bit.
+/// context) can only change evaluation cost, never a result bit.  The LU
+/// factors are a pure function of (G, C, frequency): they are kept only
+/// while G and C stay stamped and the frequency repeats bit for bit.
 class AcSession {
  public:
   /// Empty session; call stamp() before solving.
@@ -55,11 +59,20 @@ class AcSession {
   bool stamped() const { return n_ > 0; }
   std::size_t size() const { return n_; }
 
-  /// Assembles A = G + j omega C, refactors the complex workspace in
-  /// place and solves A x = b.  Returns the internal solution vector
-  /// (node phasors + branch currents), valid until the next solve or
-  /// stamp.  Throws linalg::SingularMatrixError if the small-signal
-  /// system is singular at this operating point.
+  /// Re-reads the AC value of `source`, a voltage source of the stamped
+  /// netlist, into the excitation b after its set_ac_value(): b becomes
+  /// bitwise what a fresh stamp() would build, while G, C and the LU
+  /// factors stay.  Throws std::logic_error before the first stamp() and
+  /// std::invalid_argument if the source's branch lies outside the system.
+  void update_excitation(const circuit::VoltageSource& source);
+
+  /// Solves A x = b at `frequency_hz`, A = G + j omega C.  At the frequency
+  /// factored last since the latest stamp() the factors are reused;
+  /// otherwise A is assembled into the complex workspace and refactored in
+  /// place.  Returns the internal solution vector (node phasors + branch
+  /// currents), valid until the next solve or stamp.  Throws
+  /// linalg::SingularMatrixError if the small-signal system is singular
+  /// at this operating point.
   const linalg::VectorC& solve(double frequency_hz);
 
   /// Phasor of one node at `frequency_hz` (ground -> 0).
@@ -73,6 +86,8 @@ class AcSession {
   std::size_t n_ = 0;
   std::size_t num_nodes_ = 0;
   audit::Enforce audit_ = audit::Enforce::kDefault;
+  bool factored_ = false;    ///< lu_ holds the factors of A at factored_hz_
+  double factored_hz_ = 0.0;
   /// Diagnostic context for singular-system messages; set by stamp() and
   /// read only on error paths.  The caller's netlist must outlive the
   /// session's solves (already implied by the stamp-once usage pattern).
@@ -82,7 +97,7 @@ class AcSession {
   linalg::VectorC solution_;
   linalg::Matrixd g_;  ///< real (frequency-independent) part
   linalg::Matrixd c_;  ///< j-omega-scaled part
-  linalg::Luc lu_;     ///< reusable complex factor workspace, per probe
+  linalg::Luc lu_;     ///< reusable complex factor workspace
 };
 
 /// Solves the AC system at a single frequency [Hz] with a fresh session.

@@ -1,19 +1,23 @@
-// Analysis-split contract of the opamp models: the AC bench and the slew
-// bench are independent analyses, so evaluating one of them alone gives
-// bitwise the entries the full evaluate() gives -- whatever ran before
-// (the other analysis first, or nothing) and whether or not the design
-// context that seeds it was evicted in between.  The Evaluator's partial
-// cache rows rely on exactly this.  The verifiers built on it -- plain MC
-// and importance sampling, which request only the analyses their specs
-// read -- report exactly what they report through a wrapper that hides the
-// split.
+// Analysis-split contract of the opamp models: the operating point, the
+// 1 Hz gain, the unity-gain crossing and the slew transient are
+// independent analyses, so evaluating one of them alone gives bitwise the
+// entries the full evaluate() gives -- whatever ran before (another
+// analysis first, or nothing) and whether or not the design context that
+// seeds it was evicted in between.  The Evaluator's partial cache rows
+// rely on exactly this.  The verifiers built on it -- plain MC and
+// importance sampling, which request only the analyses their specs read --
+// report exactly what they report through a wrapper that hides the split,
+// and each operating corner runs only the AC probes its specs read.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "circuits/folded_cascode.hpp"
@@ -69,8 +73,12 @@ std::vector<Point> random_points(const core::YieldProblem& problem,
 template <class Model>
 class AnalysisSplit : public ::testing::Test {
  protected:
-  static constexpr core::AnalysisMask kAc =
-      core::analysis_bit(Model::kAcAnalysis);
+  /// Every analysis of the model, one bit each.
+  static constexpr std::array<core::AnalysisMask, 4> kAnalyses{
+      core::analysis_bit(Model::kOperatingPointAnalysis),
+      core::analysis_bit(Model::kGainAnalysis),
+      core::analysis_bit(Model::kCrossingAnalysis),
+      core::analysis_bit(Model::kSlewAnalysis)};
   static constexpr core::AnalysisMask kSlew =
       core::analysis_bit(Model::kSlewAnalysis);
 
@@ -107,10 +115,18 @@ using Models = ::testing::Types<FoldedCascode, Miller>;
 TYPED_TEST_SUITE(AnalysisSplit, Models);
 
 TYPED_TEST(AnalysisSplit, SlewRateIsTheOnlyTransientPerformance) {
+  // Spec order A0, f_t, CMRR (folded cascode) or PM (Miller), SR+, power:
+  // power reads the operating point, A0 and CMRR the 1 Hz gain, f_t and
+  // PM the unity-gain crossing, SR+ the transient.
+  constexpr bool kFolded = std::is_same_v<TypeParam, FoldedCascode>;
+  const std::array<std::size_t, 5> expected{
+      TypeParam::kGainAnalysis, TypeParam::kCrossingAnalysis,
+      kFolded ? TypeParam::kGainAnalysis : TypeParam::kCrossingAnalysis,
+      TypeParam::kSlewAnalysis, TypeParam::kOperatingPointAnalysis};
   const TypeParam model;
+  ASSERT_EQ(model.num_performances(), expected.size());
   for (std::size_t i = 0; i < model.num_performances(); ++i)
-    EXPECT_EQ(model.analysis_of(i), i == 3 ? TypeParam::kSlewAnalysis
-                                           : TypeParam::kAcAnalysis);
+    EXPECT_EQ(model.analysis_of(i), expected[i]) << i;
   // Both benches converge at every point, so the comparisons below see
   // measured values, not penalties.
   for (const PerfVec& f : this->reference) {
@@ -119,34 +135,41 @@ TYPED_TEST(AnalysisSplit, SlewRateIsTheOnlyTransientPerformance) {
   }
 }
 
-TYPED_TEST(AnalysisSplit, AcFirstThenSlewMatchesFullEvaluate) {
-  TypeParam model;
-  for (std::size_t k = 0; k < this->points.size(); ++k) {
-    this->check(model, k, this->kAc);
-    this->check(model, k, this->kSlew);
+TYPED_TEST(AnalysisSplit, EachAnalysisAloneMatchesFullEvaluate) {
+  for (const core::AnalysisMask analysis : this->kAnalyses) {
+    TypeParam model;
+    for (std::size_t k = 0; k < this->points.size(); ++k)
+      this->check(model, k, analysis);
   }
 }
 
-TYPED_TEST(AnalysisSplit, SlewFirstThenAcMatchesFullEvaluate) {
-  TypeParam model;
-  for (std::size_t k = 0; k < this->points.size(); ++k) {
-    this->check(model, k, this->kSlew);
-    this->check(model, k, this->kAc);
+TYPED_TEST(AnalysisSplit, EachOrderedPairMatchesFullEvaluate) {
+  // The second analysis of a pair finds the context sections and the AC
+  // session state the first one left at the same (d, theta).
+  for (const core::AnalysisMask first : this->kAnalyses) {
+    for (const core::AnalysisMask second : this->kAnalyses) {
+      if (first == second) continue;
+      TypeParam model;
+      for (std::size_t k = 0; k < this->points.size(); ++k) {
+        this->check(model, k, first);
+        this->check(model, k, second);
+      }
+    }
   }
 }
 
 TYPED_TEST(AnalysisSplit, SecondAnalysisAfterContextEvictionMatches) {
   // 20 distinct (d, theta) pairs against a 16-entry context FIFO: by the
   // second pass the contexts the first pass built are gone.
-  TypeParam ac_first;
-  TypeParam slew_first;
-  for (std::size_t k = 0; k < this->points.size(); ++k) {
-    this->check(ac_first, k, this->kAc);
-    this->check(slew_first, k, this->kSlew);
-  }
-  for (std::size_t k = 0; k < this->points.size(); ++k) {
-    this->check(ac_first, k, this->kSlew);
-    this->check(slew_first, k, this->kAc);
+  for (const core::AnalysisMask first : this->kAnalyses) {
+    for (const core::AnalysisMask second : this->kAnalyses) {
+      if (first == second) continue;
+      TypeParam model;
+      for (std::size_t k = 0; k < this->points.size(); ++k)
+        this->check(model, k, first);
+      for (std::size_t k = 0; k < this->points.size(); ++k)
+        this->check(model, k, second);
+    }
   }
 }
 
@@ -185,8 +208,8 @@ TYPED_TEST(AnalysisSplit, FailedSlewBenchPenalizesOnlySlewRate) {
     EXPECT_EQ(full[3], 0.0) << "point " << k;  // SR+ penalty
     // The AC entries are the healthy model's, alone or with the failed
     // transient alongside.
-    this->expect_entries(model, k, this->kAc, full);
-    this->check(model, k, this->kAc);
+    this->expect_entries(model, k, TypeParam::kAcAnalyses, full);
+    this->check(model, k, TypeParam::kAcAnalyses);
     EXPECT_EQ(model.evaluate_analyses(p.d, p.s, p.theta, this->kSlew)[3], 0.0);
   }
 
@@ -248,6 +271,86 @@ class OneAnalysisView final : public core::PerformanceModel {
   std::unique_ptr<core::PerformanceModel> inner_;
 };
 
+/// Forwards every PerformanceModel virtual, the analysis split included,
+/// and charges the AC obs counters each evaluation moves to the operating
+/// point it ran at.  Serial use only: the counters are process-wide.
+class AcProbeTally final : public core::PerformanceModel {
+ public:
+  struct Corner {
+    std::uint64_t rows = 0;
+    std::uint64_t stamps = 0;
+    std::uint64_t solves = 0;
+    std::uint64_t factorizations = 0;
+  };
+
+  explicit AcProbeTally(std::unique_ptr<core::PerformanceModel> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t num_performances() const override {
+    return inner_->num_performances();
+  }
+  std::size_t analysis_of(std::size_t performance) const override {
+    return inner_->analysis_of(performance);
+  }
+  std::size_t num_constraints() const override {
+    return inner_->num_constraints();
+  }
+  PerfVec evaluate(const DesignVec& d, const StatPhysVec& s,
+                   const OperatingVec& theta) override {
+    PerfVec out;
+    tally(theta, 1, [&] { out = inner_->evaluate(d, s, theta); });
+    return out;
+  }
+  PerfVec evaluate_analyses(const DesignVec& d, const StatPhysVec& s,
+                            const OperatingVec& theta,
+                            core::AnalysisMask analyses) override {
+    PerfVec out;
+    tally(theta, 1,
+          [&] { out = inner_->evaluate_analyses(d, s, theta, analyses); });
+    return out;
+  }
+  void evaluate_batch_analyses(const DesignVec& d,
+                               linalg::StatPhysBlock s_block,
+                               const OperatingVec& theta,
+                               core::AnalysisMask analyses,
+                               linalg::PerfBlockView out) override {
+    tally(theta, s_block.rows(), [&] {
+      inner_->evaluate_batch_analyses(d, s_block, theta, analyses, out);
+    });
+  }
+  linalg::Vector constraints(const DesignVec& d) override {
+    return inner_->constraints(d);
+  }
+
+  /// Tallies of the evaluations at operating point `theta`.
+  Corner at(const OperatingVec& theta) const {
+    const auto it = corners_.find(key(theta));
+    return it == corners_.end() ? Corner{} : it->second;
+  }
+
+ private:
+  template <class Call>
+  void tally(const OperatingVec& theta, std::size_t rows, Call&& call) {
+    const obs::Counters& c = obs::registry().counters;
+    const std::uint64_t stamps = c.ac_stamps.value();
+    const std::uint64_t solves = c.ac_probes.value();
+    const std::uint64_t factorizations = c.ac_factorizations.value();
+    call();
+    Corner& corner = corners_[key(theta)];
+    corner.rows += rows;
+    corner.stamps += c.ac_stamps.value() - stamps;
+    corner.solves += c.ac_probes.value() - solves;
+    corner.factorizations += c.ac_factorizations.value() - factorizations;
+  }
+
+  static std::vector<double> key(const OperatingVec& theta) {
+    return std::vector<double>(theta.begin(), theta.end());
+  }
+
+  std::unique_ptr<core::PerformanceModel> inner_;
+  std::map<std::vector<double>, Corner> corners_;
+};
+
 /// The folded cascode optimized at Table-7 options, seed 42 (the design
 /// the benchmark's verification workload pins).
 DesignVec optimized_fc_design() {
@@ -283,6 +386,31 @@ class MaskedVerification : public ::testing::Test {
 
   static std::uint64_t tran_solves() {
     return obs::registry().counters.tran_solves.value();
+  }
+
+  /// `split` with its model behind an AcProbeTally.
+  core::YieldProblem tallied(AcProbeTally*& tally) const {
+    core::YieldProblem problem = split;
+    auto model = std::make_shared<AcProbeTally>(
+        std::make_unique<FoldedCascode>());
+    tally = model.get();
+    problem.model = model;
+    return problem;
+  }
+
+  /// The power corner runs the DC solve alone; the CMRR corner one stamp
+  /// and two solves, A0 and the common-mode phasor, on one factorization.
+  void expect_power_and_cmrr_corner_probes(const AcProbeTally& tally) const {
+    const AcProbeTally::Corner power = tally.at(theta_wc[4]);
+    EXPECT_GT(power.rows, 0u);
+    EXPECT_EQ(power.stamps, 0u);
+    EXPECT_EQ(power.solves, 0u);
+    EXPECT_EQ(power.factorizations, 0u);
+    const AcProbeTally::Corner cmrr = tally.at(theta_wc[2]);
+    EXPECT_GT(cmrr.rows, 0u);
+    EXPECT_EQ(cmrr.stamps, cmrr.rows);
+    EXPECT_EQ(cmrr.solves, 2 * cmrr.rows);
+    EXPECT_EQ(cmrr.factorizations, cmrr.rows);
   }
 
   core::YieldProblem split;  ///< FoldedCascode as is: two analyses
@@ -369,6 +497,39 @@ TEST_F(MaskedVerification, ImportanceSamplingMatchesTheOneAnalysisView) {
   (void)after;
 #endif
 }
+
+#if MAYO_OBS_ENABLED  // the counters are no-op shells under MAYO_OBS=OFF
+TEST_F(MaskedVerification, MonteCarloCornersRunOnlyTheAcProbesTheirSpecsRead) {
+  AcProbeTally* tally = nullptr;
+  core::YieldProblem problem = tallied(tally);
+  core::Evaluator ev(problem);
+  core::VerificationOptions options;
+  options.num_samples = 48;
+  options.block_size = 16;
+  const core::VerificationResult result =
+      core::monte_carlo_verify(ev, d, theta_wc, options);
+  EXPECT_EQ(result.evaluations, 3 * options.num_samples);
+  EXPECT_EQ(tally->at(theta_wc[4]).rows, options.num_samples);
+  EXPECT_EQ(tally->at(theta_wc[2]).rows, options.num_samples);
+  expect_power_and_cmrr_corner_probes(*tally);
+}
+
+TEST_F(MaskedVerification, ImportanceSamplingCornersRunOnlyTheAcProbesTheirSpecsRead) {
+  AcProbeTally* tally = nullptr;
+  core::YieldProblem problem = tallied(tally);
+  core::Evaluator ev(problem);
+  core::IsVerificationOptions options;
+  options.initial_samples = 16;
+  options.round_samples = 16;
+  options.max_rounds = 2;
+  options.block_size = 8;
+  const core::IsVerificationResult result =
+      core::importance_sample_verify(ev, d, theta_wc, s_wc, options);
+  EXPECT_EQ(tally->at(theta_wc[4]).rows, result.per_spec[4].samples);
+  EXPECT_EQ(tally->at(theta_wc[2]).rows, result.per_spec[2].samples);
+  expect_power_and_cmrr_corner_probes(*tally);
+}
+#endif
 
 }  // namespace
 }  // namespace mayo::circuits

@@ -268,5 +268,23 @@ TYPED_TEST(OpampContract, EvaluateBatchRejectsWrongOutShape) {
   }
 }
 
+TYPED_TEST(OpampContract, ModelFitsTheAllocatorsPerThreadCache) {
+  // make_problem() allocates the model with std::make_shared: the object
+  // plus a 16-byte control block in one chunk.  glibc's per-thread cache
+  // (tcache) serves chunks of at most 1,032 bytes; a larger one takes
+  // malloc's slower bins.  Set-up of the folded-cascode problem
+  // (make_problem plus an Evaluator), which the end-to-end benchmark times
+  // as setup_s on its optimizer workloads, read 10.6 us with the object at
+  // 1,008 bytes and 16.2 us at 1,032 bytes (one std::vector member more):
+  // medians of 20 interleaved processes on a 4-vCPU x86-64 VM, every
+  // 1,032-byte run slower than every 1,008-byte run.  A new OpampModel
+  // member fails here first.
+#if defined(__GLIBC__)
+  EXPECT_LE(sizeof(TypeParam) + 16, 1032u) << sizeof(TypeParam);
+#else
+  GTEST_SKIP() << "the bound is glibc's tcache limit";
+#endif
+}
+
 }  // namespace
 }  // namespace mayo::circuits

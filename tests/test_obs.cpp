@@ -27,7 +27,7 @@ TEST(ObsRegistry, EnumeratesTheFixedCounterSchema) {
   std::vector<std::string> names;
   registry().each_counter(
       [&](const char* name, std::uint64_t) { names.emplace_back(name); });
-  EXPECT_EQ(names.size(), 37u);
+  EXPECT_EQ(names.size(), 38u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
             names.size());
   EXPECT_EQ(names.front(), "probe_cache.hits");

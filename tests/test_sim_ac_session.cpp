@@ -1,17 +1,21 @@
 // AcSession contract tests: the stamped state is a pure function of
 // (netlist state, operating point, conditions), so a session reused across
 // stamps/solves must reproduce a fresh session bit for bit — workspace
-// reuse may only ever change cost, never a result.  The free solve_ac /
-// sweep_ac helpers are thin wrappers over a session and must agree the
-// same way.
+// reuse may only ever change cost, never a result.  That covers the kept
+// factors too: a solve at the frequency factored last after the excitation
+// was updated equals a fresh session's.  The free solve_ac / sweep_ac
+// helpers are thin wrappers over a session and must agree the same way.
 #include "sim/ac.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
 
@@ -41,14 +45,15 @@ struct SinglePoleAmp {
     in = nl.add_node("in");
     mid = nl.add_node("mid");
     out = nl.add_node("out");
-    auto& v = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
-    v.set_ac_value({1.0, 0.0});
+    vin = &nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+    vin->set_ac_value({1.0, 0.0});
     nl.add<Vcvs>("E1", mid, kGround, in, kGround, gain);
     nl.add<Resistor>("R1", mid, out, r);
     nl.add<Capacitor>("C1", out, kGround, c);
     op = Vector(nl.system_size());
   }
   Netlist nl;
+  VoltageSource* vin = nullptr;
   NodeId in{};
   NodeId mid{};
   NodeId out{};
@@ -63,7 +68,7 @@ struct CommonSource {
     const NodeId vdd = nl.add_node("vdd");
     const NodeId in = nl.add_node("in");
     out = nl.add_node("out");
-    nl.add<VoltageSource>("Vdd", vdd, kGround, 5.0);
+    vsupply = &nl.add<VoltageSource>("Vdd", vdd, kGround, 5.0);
     vin = &nl.add<VoltageSource>("Vin", in, kGround, 1.0);
     vin->set_ac_value({1.0, 0.0});
     nl.add<Resistor>("RL", vdd, out, 10e3);
@@ -72,9 +77,20 @@ struct CommonSource {
                    MosProcess{}, MosGeometry{20e-6, 1e-6});
   }
   Netlist nl;
+  VoltageSource* vsupply = nullptr;
   VoltageSource* vin = nullptr;
   NodeId out{};
 };
+
+/// Complex LU factorizations so far (0 under MAYO_OBS=OFF).
+std::uint64_t factorizations() {
+  return obs::registry().counters.ac_factorizations.value();
+}
+
+void expect_bitwise_equal(const VectorC& got, const VectorC& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]) << i;
+}
 
 TEST(AcSession, ReusedSessionBitwiseMatchesFreshAcrossFrequencies) {
   SinglePoleAmp amp(100.0, 1e3, 1e-9);
@@ -109,6 +125,85 @@ TEST(AcSession, RestampAcrossOperatingPointsMatchesFreshSession) {
       EXPECT_EQ(h_fresh, h_reused) << "vg=" << vg << " f=" << f;
     }
   }
+}
+
+TEST(AcSession, UpdatedExcitationSolvesOnTheKeptFactorsBitwise) {
+  CommonSource ckt;
+  const Conditions cond;
+  const DcResult dc = solve_dc(ckt.nl, cond);
+  ASSERT_TRUE(dc.converged);
+  const double f = 2e5;
+  AcSession session(ckt.nl, dc.solution, cond);
+  session.solve(f);
+  // Drive the gate and the supply; -0.0 checks the branch row is rebuilt
+  // as a stamp builds it (zeroed, then the source's value added).
+  ckt.vin->set_ac_value({0.25, -0.5});
+  ckt.vsupply->set_ac_value({-0.0, 1e-3});
+  const std::uint64_t before = factorizations();
+  session.update_excitation(*ckt.vin);
+  session.update_excitation(*ckt.vsupply);
+  const VectorC kept = session.solve(f);
+  if (obs::kEnabled) {
+    EXPECT_EQ(factorizations(), before);
+  }
+  AcSession fresh(ckt.nl, dc.solution, cond);
+  expect_bitwise_equal(kept, fresh.solve(f));
+  // At another frequency the updated excitation is solved on new factors.
+  expect_bitwise_equal(session.solve(3.0 * f), fresh.solve(3.0 * f));
+}
+
+TEST(AcSession, StampOrAnotherFrequencyRefactors) {
+  CommonSource ckt;
+  const Conditions cond;
+  const DcResult low = solve_dc(ckt.nl, cond);
+  ASSERT_TRUE(low.converged);
+  ckt.vin->set_dc_value(1.2);
+  const DcResult high = solve_dc(ckt.nl, cond);
+  ASSERT_TRUE(high.converged);
+  const double f = 1e5;
+
+  AcSession session(ckt.nl, low.solution, cond);
+  session.solve(f);
+  std::uint64_t before = factorizations();
+  const VectorC repeated = session.solve(f);  // same frequency: kept
+  if (obs::kEnabled) {
+    EXPECT_EQ(factorizations(), before);
+  }
+  expect_bitwise_equal(repeated, AcSession(ckt.nl, low.solution, cond).solve(f));
+
+  // A new stamp drops the factors even at the same frequency.
+  session.stamp(ckt.nl, high.solution, cond);
+  before = factorizations();
+  const VectorC restamped = session.solve(f);
+  if (obs::kEnabled) {
+    EXPECT_EQ(factorizations(), before + 1);
+  }
+  AcSession fresh(ckt.nl, high.solution, cond);
+  expect_bitwise_equal(restamped, fresh.solve(f));
+
+  // Only the last frequency's factors are kept: going to 10 f and back
+  // refactors twice in each session.
+  before = factorizations();
+  expect_bitwise_equal(session.solve(10.0 * f), fresh.solve(10.0 * f));
+  expect_bitwise_equal(session.solve(f), fresh.solve(f));
+  if (obs::kEnabled) {
+    EXPECT_EQ(factorizations(), before + 4);
+  }
+}
+
+TEST(AcSession, UpdateExcitationNeedsAStampedSourceOfTheSystem) {
+  SinglePoleAmp amp(10.0, 1e3, 1e-9);
+  AcSession session;
+  EXPECT_THROW(session.update_excitation(*amp.vin), std::logic_error);
+  session.stamp(amp.nl, amp.op, Conditions{});
+  EXPECT_NO_THROW(session.update_excitation(*amp.vin));
+  // A source whose branch lies past the stamped system's last row.
+  Netlist wide;
+  const NodeId a = wide.add_node("a");
+  VoltageSource* last = nullptr;
+  for (const char* name : {"V1", "V2", "V3", "V4", "V5"})
+    last = &wide.add<VoltageSource>(name, a, kGround, 0.0);
+  EXPECT_THROW(session.update_excitation(*last), std::invalid_argument);
 }
 
 TEST(AcSession, FreeFunctionsAreSessionBackedBitwise) {
