@@ -3,6 +3,7 @@
 //   * DC / AC / transient solves of the folded-cascode netlist,
 //   * a full performance evaluation f(d, s, theta),
 //   * the slew-rate transient alone, and each opamp analysis alone,
+//   * factor plus solve of the stamped slew and AC systems,
 //   * the Monte-Carlo yield estimate: full re-evaluation vs. the O(1)
 //     incremental coordinate update of paper eq. (20),
 //   * the exact 1-D coordinate maximization (best_alpha) on both opamps,
@@ -22,6 +23,8 @@
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
+#include "sim/solver.hpp"
+#include "sim/source_tree.hpp"
 #include "stats/rng.hpp"
 #include "stats/sampler.hpp"
 
@@ -208,21 +211,25 @@ BENCHMARK(BM_SlewBench)
     ->ArgName("miller")
     ->Unit(benchmark::kMillisecond);
 
-/// One analysis of the folded cascode optimized at Table-7 options (seed
-/// 42; the design the end-to-end benchmark's verification workload pins)
-/// at fresh samples: each iteration evaluates the next of 256 mismatch
-/// samples at the nominal operating point, requesting the analysis that
-/// measures `performance` (power, A0, f_t, SR+), or every analysis for a
-/// negative index.  Only the design context, built before timing, is
-/// reused.  Counters give the DC and AC solves per evaluation (zero under
-/// MAYO_OBS=OFF).
+/// The folded cascode optimized at Table-7 options (seed 42; the design
+/// the end-to-end benchmark's verification workload pins).
+linalg::Vector pinned_fc_design() {
+  return linalg::Vector{7.9969771444780079e-05, 2.6006396264899676e-05,
+                        3.8154545795207499e-05, 1.9622502321068214e-05,
+                        1.9101235641826773e-05, 4.0000000000000003e-05,
+                        5.0000000000000002e-05};
+}
+
+/// One analysis of the pinned folded cascode at fresh samples: each
+/// iteration evaluates the next of 256 mismatch samples at the nominal
+/// operating point, requesting the analysis that measures `performance`
+/// (power, A0, f_t, SR+), or every analysis for a negative index.  Only
+/// the design context, built before timing, is reused.  Counters give the
+/// DC and AC solves per evaluation (zero under MAYO_OBS=OFF).
 void BM_OpampAnalyses(benchmark::State& state, int performance) {
   const core::YieldProblem problem = circuits::FoldedCascode::make_problem();
   core::PerformanceModel& model = *problem.model;
-  const linalg::DesignVec d{7.9969771444780079e-05, 2.6006396264899676e-05,
-                            3.8154545795207499e-05, 1.9622502321068214e-05,
-                            1.9101235641826773e-05, 4.0000000000000003e-05,
-                            5.0000000000000002e-05};
+  const linalg::DesignVec d(pinned_fc_design());
   const linalg::OperatingVec theta(problem.operating.nominal);
   const stats::SampleSet unit(256, problem.statistical.dimension(), 13);
   std::vector<linalg::StatPhysVec> samples;
@@ -260,6 +267,61 @@ BENCHMARK_CAPTURE(BM_OpampAnalyses, crossing, 1)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_OpampAnalyses, slew, 3)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_OpampAnalyses, all, -1)->Unit(benchmark::kMicrosecond);
+
+/// Factor plus solve of one stamped MNA system of the pinned folded
+/// cascode at nominal statistics and operating point, on the bench of
+/// `analysis`: the slew bench's backward-Euler Newton system of one step
+/// from its operating point, or the AC bench's small-signal system, probed
+/// at a new frequency each iteration so every solve refactors.  Counters
+/// give the MNA unknowns and the free ones the LU factors.
+void BM_MnaSolve(benchmark::State& state, std::size_t analysis) {
+  const core::YieldProblem problem = circuits::FoldedCascode::make_problem();
+  auto& model = dynamic_cast<circuits::FoldedCascode&>(*problem.model);
+  const linalg::Vector& theta = problem.operating.nominal;
+  circuit::Netlist& netlist = model.bench_netlist(
+      analysis, pinned_fc_design(),
+      linalg::Vector(circuits::FoldedCascodeStats::kCount), theta);
+  const circuit::Conditions conditions{theta[0]};
+  const sim::DcResult op = sim::solve_dc(netlist, conditions);
+  if (!op.converged) {
+    state.SkipWithError("operating point did not converge");
+    return;
+  }
+  const std::size_t n = netlist.system_size();
+  if (analysis == circuits::OpampModel::kSlewAnalysis) {
+    const double dt = model.options().sr_dt;
+    const double gmin = sim::DcOptions{}.gmin_floor;
+    sim::LinearSystem system;
+    system.set_netlist(&netlist);
+    linalg::Vector residual(n);
+    circuit::TranStamp stamp(op.solution, system.begin(n), residual,
+                             netlist.num_nodes(), conditions, op.solution, dt,
+                             dt);
+    for (const auto& device : netlist) device->stamp_tran(stamp);
+    for (std::size_t k = 0; k + 1 < netlist.num_nodes(); ++k)
+      stamp.add_jacobian(static_cast<int>(k), static_cast<int>(k), gmin);
+    linalg::Vector x(n);
+    for (auto _ : state) {
+      system.factor();
+      system.solve_into(residual.data(), x.data());
+      benchmark::DoNotOptimize(x.data());
+    }
+  } else {
+    sim::AcSession session(netlist, op.solution, conditions);
+    double f = 1.0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(session.solve(f).data());
+      f = f < 1e9 ? f * 1.7 : 1.0;
+    }
+  }
+  sim::SourceTree tree;
+  tree.build(netlist);
+  state.counters["full"] = static_cast<double>(n);
+  state.counters["free"] = static_cast<double>(tree.free_size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MnaSolve, slew, circuits::OpampModel::kSlewAnalysis);
+BENCHMARK_CAPTURE(BM_MnaSolve, ac, circuits::OpampModel::kGainAnalysis);
 
 void BM_BatchEvalFoldedCascode(benchmark::State& state) {
   // Batch-vs-scalar throughput of the evaluation spine.  Every iteration

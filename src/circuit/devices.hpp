@@ -19,6 +19,8 @@
 
 namespace mayo::circuit {
 
+class VoltageSource;
+
 /// Abstract circuit element.
 class Device {
  public:
@@ -40,6 +42,10 @@ class Device {
 
   /// Number of extra MNA branch variables this device needs.
   virtual int branch_count() const { return 0; }
+  /// This device if it is an independent voltage source, else nullptr:
+  /// the solvers find the sources whose nodes they eliminate
+  /// (sim/source_tree.hpp) with one virtual call per device.
+  virtual const VoltageSource* as_voltage_source() const { return nullptr; }
   /// Called by the netlist when branch variables are assigned.
   void set_first_branch(int index) { first_branch_ = index; }
   int first_branch() const { return first_branch_; }
@@ -100,6 +106,7 @@ class VoltageSource final : public Device {
   void stamp_ac(AcStamp& stamp) const override;
   void stamp_tran(TranStamp& stamp) const override;
   int branch_count() const override { return 1; }
+  const VoltageSource* as_voltage_source() const override { return this; }
 
   double dc_value() const { return dc_; }
   void set_dc_value(double v) { dc_ = v; }

@@ -1,6 +1,7 @@
 #include "circuits/opamp.hpp"
 
 #include <algorithm>
+#include <complex>
 #include <stdexcept>
 #include <utility>
 
@@ -48,6 +49,11 @@ constexpr double kFtWiden = 1.6;
 /// Bounded FIFO of design contexts (coordinate searches revisit a handful
 /// of designs; old entries can always be rebuilt).
 constexpr std::size_t kContextCapacity = 16;
+/// AC drive of the two inputs: differential for A0, f_t and PM, common
+/// mode for CMRR.
+constexpr std::complex<double> kDifferentialP{0.5, 0.0};
+constexpr std::complex<double> kDifferentialN{-0.5, 0.0};
+constexpr std::complex<double> kCommonMode{1.0, 0.0};
 }  // namespace
 
 OpampModel::OpampModel(Setup setup, std::unique_ptr<Bench> ac_bench,
@@ -87,9 +93,17 @@ sim::DcResult OpampModel::solve_op(Bench& bench, const Conditions& conditions,
 void OpampModel::stamp_differential(const Vector& op,
                                     const Conditions& conditions) {
   Bench& ac = *ac_bench_;
-  ac.vinp->set_ac_value({0.5, 0.0});
-  ac.vinn->set_ac_value({-0.5, 0.0});
+  ac.vinp->set_ac_value(kDifferentialP);
+  ac.vinn->set_ac_value(kDifferentialN);
   ac_session_.stamp(ac.netlist, op, conditions);
+}
+
+void OpampModel::drive_inputs(std::complex<double> p, std::complex<double> n) {
+  Bench& ac = *ac_bench_;
+  ac.vinp->set_ac_value(p);
+  ac.vinn->set_ac_value(n);
+  ac_session_.update_excitation(*ac.vinp);
+  ac_session_.update_excitation(*ac.vinn);
 }
 
 sim::DcResult OpampModel::settled_op(const Vector& theta,
@@ -212,31 +226,27 @@ void OpampModel::measure_ac(DesignContext& ctx, const Vector& d,
   const bool crossing =
       (analyses & core::analysis_bit(kCrossingAnalysis)) != 0;
   if (!gain && !crossing) return;
-  // One stamp serves A0, the crossing search and CMRR.  A0 is the 1 Hz
+  // One stamp serves A0, CMRR and the crossing search.  A0 is the 1 Hz
   // probe the crossing search starts from, so both analyses read it.
   stamp_differential(op.solution, conditions);
-  if (crossing) {
-    // The nominal crossing seeds the search.
-    const sim::GainBandwidth gb =
-        sim::measure_gain_bandwidth(ac_session_, ac.out, kFtLow,
-                                    setup_.ft_high,
-                                    ctx.ft_valid ? &ctx.ft_bracket : nullptr);
-    out.a0_db = gb.a0_db;
-    out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
-    out.pm_deg = gb.ft_found ? gb.phase_margin_deg : 0.0;
-  } else {
-    out.a0_db = sim::to_db(ac_session_.node_voltage(kFtLow, ac.out));
-  }
-
-  if (gain && measures_cmrr_) {
-    // Common-mode drive changes only the excitation: the 1 Hz factors of
-    // the A0 probe serve it unless the crossing search ran in between.
-    ac.vinp->set_ac_value({1.0, 0.0});
-    ac.vinn->set_ac_value({1.0, 0.0});
-    ac_session_.update_excitation(*ac.vinp);
-    ac_session_.update_excitation(*ac.vinn);
+  const std::complex<double> h_low = ac_session_.node_voltage(kFtLow, ac.out);
+  out.a0_db = sim::to_db(h_low);
+  const bool cmrr = gain && measures_cmrr_;
+  if (cmrr) {
+    // Common-mode drive changes only the excitation, so the A0 probe's
+    // 1 Hz factors serve it: solved before the crossing search moves them.
+    drive_inputs(kCommonMode, kCommonMode);
     const double acm_db = sim::to_db(ac_session_.node_voltage(kFtLow, ac.out));
     out.cmrr_db = out.a0_db - acm_db;
+  }
+  if (crossing) {
+    if (cmrr) drive_inputs(kDifferentialP, kDifferentialN);
+    // The nominal crossing seeds the search, which starts from A0's probe.
+    const sim::GainBandwidth gb = sim::measure_gain_bandwidth(
+        ac_session_, ac.out, kFtLow, setup_.ft_high,
+        ctx.ft_valid ? &ctx.ft_bracket : nullptr, h_low);
+    out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
+    out.pm_deg = gb.ft_found ? gb.phase_margin_deg : 0.0;
   }
 }
 
@@ -372,6 +382,14 @@ void OpampModel::evaluate_batch_analyses(
     measure_with_context(ctx, d, batch_s_, theta, analyses, m);
     pack_performances(m, out.row(j));
   }
+}
+
+circuit::Netlist& OpampModel::bench_netlist(std::size_t analysis,
+                                            const Vector& d, const Vector& s,
+                                            const Vector& theta) {
+  Bench& bench = analysis == kSlewAnalysis ? *sr_bench_ : *ac_bench_;
+  apply(bench, d, s, theta);
+  return bench.netlist;
 }
 
 // ------------------------------------------------------------ constraints --

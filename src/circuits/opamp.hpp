@@ -25,6 +25,7 @@
 // f_t search ceiling and the statistical dimension.
 #pragma once
 
+#include <complex>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -121,6 +122,15 @@ class OpampModel : public core::PerformanceModel {
   /// transistors at nominal statistics and operating conditions.
   linalg::Vector saturation_margins(const linalg::Vector& d);
 
+  /// The netlist `analysis` runs on, with (d, s, theta) applied as an
+  /// evaluation applies them: the open-loop AC bench for the three AC
+  /// analyses, the unity-gain bench for the slew analysis.  For benchmarks
+  /// that drive the simulator directly; callers may change source values
+  /// but not devices, and the next evaluation applies its own point.
+  circuit::Netlist& bench_netlist(std::size_t analysis, const linalg::Vector& d,
+                                  const linalg::Vector& s,
+                                  const linalg::Vector& theta);
+
  protected:
   /// Device handles the shared measurements drive.  A model's bench
   /// extends this with the handles its apply() binds.
@@ -208,6 +218,9 @@ class OpampModel : public core::PerformanceModel {
   /// under differential drive.
   void stamp_differential(const linalg::Vector& op,
                           const circuit::Conditions& conditions);
+  /// Sets the AC drive of the two inputs and re-reads it into the stamped
+  /// session's excitation, keeping its factors.
+  void drive_inputs(std::complex<double> p, std::complex<double> n);
   /// DC operating point of the slew bench as apply() left it, but with
   /// the input at vcm + sr_step: the state the step response settles to.
   sim::DcResult settled_op(const linalg::Vector& theta,

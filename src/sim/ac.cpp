@@ -5,11 +5,10 @@
 #include <cstdint>
 #include <numbers>
 #include <stdexcept>
-#include <string>
 
-#include "circuit/mna_names.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/obs.hpp"
+#include "sim/source_tree.hpp"
 
 namespace mayo::sim {
 
@@ -17,26 +16,34 @@ using circuit::AcStamp;
 using circuit::Conditions;
 using circuit::Netlist;
 using circuit::NodeId;
-using linalg::Matrixc;
 using linalg::Matrixd;
 using linalg::Vector;
 using linalg::VectorC;
 
-void AcSession::rethrow_singular(
-    const linalg::SingularMatrixError& error) const {
-  if (netlist_ == nullptr || netlist_->system_size() != n_) throw error;
-  const std::size_t step = error.pivot_index();
-  std::string message(error.what());
-  message += " (unknown: " + circuit::mna_unknown_name(*netlist_, step) + ")";
-  throw linalg::SingularMatrixError(step, message);
+struct AcSession::Reduction {
+  SourceTree tree;
+  std::vector<double> g_free;             ///< free block of G, row-major
+  std::vector<double> c_free;             ///< free block of C, row-major
+  std::vector<std::complex<double>> rhs;  ///< free-block right-hand side
+  std::vector<std::complex<double>> y;    ///< free-block solution
+};
+
+AcSession::AcSession() = default;
+
+AcSession::AcSession(const Netlist& netlist, const Vector& operating_point,
+                     const Conditions& conditions) {
+  stamp(netlist, operating_point, conditions);
 }
+
+AcSession::~AcSession() = default;
 
 void AcSession::stamp(const Netlist& netlist, const Vector& operating_point,
                       const Conditions& conditions) {
   if (operating_point.size() != netlist.system_size())
     throw std::invalid_argument("AcSession::stamp: operating point size mismatch");
   audit::enforce_boundary(netlist, audit_, /*capacitors_conduct=*/true);
-  netlist_ = &netlist;
+  if (!reduction_) reduction_ = std::make_unique<Reduction>();
+  reduction_->tree.build(netlist);
   n_ = netlist.system_size();
   num_nodes_ = netlist.num_nodes();
   if (g_.rows() != n_ || g_.cols() != n_) {
@@ -54,6 +61,20 @@ void AcSession::stamp(const Netlist& netlist, const Vector& operating_point,
   // Tiny shunt keeps floating small-signal nodes well-posed.
   for (std::size_t k = 0; k + 1 < num_nodes_; ++k)
     system_.add(static_cast<int>(k), static_cast<int>(k), 1e-12);
+  // The free blocks of G and C, gathered once for every frequency probed.
+  Reduction& r = *reduction_;
+  const std::size_t m = r.tree.free_size();
+  r.g_free.resize(m * m);  // no allocation once a free block of size m was seen
+  r.c_free.resize(m * m);
+  const std::size_t n = n_;
+  const double* g = g_.data();
+  const double* c = c_.data();
+  r.tree.gather([g, n](std::size_t row, std::size_t col) { return g[row * n + col]; },
+                r.g_free.data());
+  r.tree.gather([c, n](std::size_t row, std::size_t col) { return c[row * n + col]; },
+                r.c_free.data());
+  r.rhs.resize(m);
+  r.y.resize(m);
   obs::registry().counters.ac_stamps.add();
 }
 
@@ -74,25 +95,37 @@ void AcSession::update_excitation(const circuit::VoltageSource& source) {
 const VectorC& AcSession::solve(double frequency_hz) {
   if (!stamped())
     throw std::logic_error("AcSession::solve: stamp() a netlist first");
+  Reduction& r = *reduction_;
+  const double omega = 2.0 * std::numbers::pi * frequency_hz;
   if (!factored_ || std::bit_cast<std::uint64_t>(frequency_hz) !=
                         std::bit_cast<std::uint64_t>(factored_hz_)) {
-    const double omega = 2.0 * std::numbers::pi * frequency_hz;
+    const std::size_t m = r.tree.free_size();
     // Assemble overwrites every entry, so skip the workspace zeroing.
-    Matrixc& a = lu_.workspace(n_, /*zero=*/false);
-    linalg::assemble_complex_into(g_.data(), c_.data(), omega, a.data(),
-                                  n_ * n_);
+    linalg::assemble_complex_into(r.g_free.data(), r.c_free.data(), omega,
+                                  lu_.workspace(m, /*zero=*/false).data(),
+                                  m * m);
     factored_ = false;  // a singular refactor leaves no usable factors
     try {
       lu_.refactor();
     } catch (const linalg::SingularMatrixError& e) {
-      rethrow_singular(e);
+      r.tree.rethrow_singular(e);
     }
     factored_ = true;
     factored_hz_ = frequency_hz;
     obs::registry().counters.ac_factorizations.add();
   }
+  // The substitutions around the factors read the entries of the whole
+  // A = G + j omega C that couple the tree to the rest.
+  const double* g = g_.data();
+  const double* c = c_.data();
+  const std::size_t n = n_;
+  const auto a = [g, c, omega, n](std::size_t row, std::size_t col) {
+    const std::size_t k = row * n + col;
+    return std::complex<double>(g[k], omega * c[k]);
+  };
   solution_.resize(n_);
-  lu_.solve_into(rhs_.data(), solution_.data());
+  r.tree.solve(lu_, a, rhs_.data(), solution_.data(), r.rhs.data(),
+               r.y.data());
   obs::registry().counters.ac_probes.add();
   return solution_;
 }

@@ -4,16 +4,21 @@
 // the device linearization, C the capacitance/reactance pattern and b the
 // AC excitations — G, C and b do not depend on frequency.  AcSession
 // exploits that split: the netlist is stamped once per (operating point,
-// conditions), then every frequency probe assembles A = G + j omega C
-// into a reusable complex LU workspace and solves in place.  No virtual
-// dispatch, no allocation per probe.  A probe at the frequency the session
-// last factored keeps the factors and only substitutes, so a second
-// excitation at one frequency (update_excitation) costs one substitution.
+// conditions) and the free blocks of G and C -- the unknowns left once the
+// netlist's grounded voltage-source tree is eliminated
+// (sim/source_tree.hpp) -- are gathered once; every frequency probe then
+// assembles the free block of A = G + j omega C into a reusable complex LU
+// workspace (linalg::assemble_complex_into) and solves in place for every
+// MNA unknown.  No virtual dispatch, no allocation per probe.  A probe at the
+// frequency the session last factored keeps the factors and only
+// substitutes, so a second excitation at one frequency (update_excitation)
+// costs one substitution, also when it drives an eliminated source.
 //
 // The free functions below are thin conveniences over a fresh session.
 #pragma once
 
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -36,16 +41,18 @@ namespace mayo::sim {
 class AcSession {
  public:
   /// Empty session; call stamp() before solving.
-  AcSession() = default;
+  AcSession();
   /// Stamps immediately (convenience).
   AcSession(const circuit::Netlist& netlist,
             const linalg::Vector& operating_point,
-            const circuit::Conditions& conditions) {
-    stamp(netlist, operating_point, conditions);
-  }
+            const circuit::Conditions& conditions);
+  ~AcSession();
 
-  /// (Re)stamps G, C and b at the given operating point.  All buffers are
-  /// reused when the system size is unchanged.
+  /// (Re)stamps G, C and b at the given operating point, partitions the
+  /// netlist's unknowns again (its source tree), so a session reused
+  /// across netlists never applies one netlist's partition to another,
+  /// and gathers the free blocks of G and C.  All buffers are reused when
+  /// the system size is unchanged.
   /// Throws std::invalid_argument on an operating-point size mismatch.
   void stamp(const circuit::Netlist& netlist,
              const linalg::Vector& operating_point,
@@ -68,36 +75,35 @@ class AcSession {
 
   /// Solves A x = b at `frequency_hz`, A = G + j omega C.  At the frequency
   /// factored last since the latest stamp() the factors are reused;
-  /// otherwise A is assembled into the complex workspace and refactored in
-  /// place.  Returns the internal solution vector (node phasors + branch
-  /// currents), valid until the next solve or stamp.  Throws
-  /// linalg::SingularMatrixError if the small-signal system is singular
-  /// at this operating point.
+  /// otherwise the free block of A is assembled into the complex workspace
+  /// and refactored in place.  Returns the internal solution vector (node
+  /// phasors + branch currents, the eliminated ones included), valid until
+  /// the next solve or stamp.  Throws linalg::SingularMatrixError, naming
+  /// the unknown, if the small-signal system is singular at this operating
+  /// point.
   const linalg::VectorC& solve(double frequency_hz);
 
   /// Phasor of one node at `frequency_hz` (ground -> 0).
   std::complex<double> node_voltage(double frequency_hz, circuit::NodeId node);
 
  private:
-  /// Rethrows a zero-pivot error with MNA index -> node/branch names.
-  [[noreturn]] void rethrow_singular(
-      const linalg::SingularMatrixError& error) const;
+  struct Reduction;  // source tree and free-block scratch
 
   std::size_t n_ = 0;
   std::size_t num_nodes_ = 0;
   audit::Enforce audit_ = audit::Enforce::kDefault;
   bool factored_ = false;    ///< lu_ holds the factors of A at factored_hz_
   double factored_hz_ = 0.0;
-  /// Diagnostic context for singular-system messages; set by stamp() and
-  /// read only on error paths.  The caller's netlist must outlive the
+  /// Created by the first stamp(), so constructing a session allocates
+  /// nothing.  Its tree keeps the stamped netlist, which must outlive the
   /// session's solves (already implied by the stamp-once usage pattern).
-  const circuit::Netlist* netlist_ = nullptr;
+  std::unique_ptr<Reduction> reduction_;
   linalg::SystemMatrix system_;  ///< stamping target bound to g_ and c_
   linalg::VectorC rhs_;          ///< complex excitation
   linalg::VectorC solution_;
   linalg::Matrixd g_;  ///< real (frequency-independent) part
   linalg::Matrixd c_;  ///< j-omega-scaled part
-  linalg::Luc lu_;     ///< reusable complex factor workspace
+  linalg::Luc lu_;     ///< factors of the free block of G + j omega C
 };
 
 /// Solves the AC system at a single frequency [Hz] with a fresh session.

@@ -33,7 +33,6 @@ bool newton(Netlist& netlist, const Conditions& conditions,
             NewtonScratch& scratch) {
   const std::size_t n = netlist.system_size();
   const std::size_t num_nodes = netlist.num_nodes();
-  system.set_diagnostic_netlist(&netlist);
   scratch.residual.resize(n);
   scratch.step.resize(n);
   Vector& residual = scratch.residual;
@@ -120,6 +119,7 @@ DcResult solve_dc_impl(Netlist& netlist, const Conditions& conditions,
   LinearSystem local_system;
   LinearSystem& system =
       options.workspace != nullptr ? *options.workspace : local_system;
+  system.set_netlist(&netlist);
   NewtonScratch scratch;
 
   // Attempt 1: plain Newton from the seed.

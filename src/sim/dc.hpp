@@ -3,8 +3,11 @@
 // Damped Newton-Raphson on the MNA residual with two convergence aids:
 // gmin stepping (a shunt conductance from every node to ground, swept from
 // large to negligible) and source stepping (ramping all independent sources
-// from zero).  Each Newton iteration stamps and factors through the
-// sim::LinearSystem boundary (dense LU with partial pivoting).
+// from zero).  Each Newton iteration stamps the whole system and solves it
+// through the sim::LinearSystem boundary, which factors only the unknowns
+// left free by the netlist's grounded voltage-source tree (dense LU with
+// partial pivoting) and returns every unknown, so the damping and the
+// convergence tests read the full update as before.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +35,8 @@ struct DcOptions {
   audit::Enforce audit = audit::Enforce::kDefault;
   /// Optional caller-owned solver workspace reused across solve_dc calls:
   /// keeps the LU workspace allocated across Newton attempts, probes and
-  /// samples.  May be null; a workspace must not be shared between
-  /// threads.
+  /// samples.  Each call partitions its own netlist into it again.  May be
+  /// null; a workspace must not be shared between threads.
   LinearSystem* workspace = nullptr;
 };
 

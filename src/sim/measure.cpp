@@ -30,13 +30,14 @@ double log_mag(std::complex<double> h) {
 
 GainBandwidth measure_gain_bandwidth(AcSession& session, NodeId out,
                                      double f_low, double f_high,
-                                     const FtBracket* bracket) {
+                                     const FtBracket* bracket,
+                                     std::optional<std::complex<double>> h_low) {
   GainBandwidth result;
   const auto h_at = [&](double f) { return session.node_voltage(f, out); };
 
-  const std::complex<double> h_low = h_at(f_low);
-  result.a0_db = to_db(h_low);
-  const double mag_low = std::abs(h_low);
+  if (!h_low) h_low = h_at(f_low);
+  result.a0_db = to_db(*h_low);
+  const double mag_low = std::abs(*h_low);
   if (mag_low <= 1.0) {
     // Already below unity at f_low: no meaningful crossing.
     return result;

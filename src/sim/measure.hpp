@@ -49,10 +49,13 @@ struct FtBracket {
 /// bracketed Ridders iteration on (log f, log |H|), which converges in a
 /// handful of complex solves where the former fixed bisection needed a
 /// dozen.  The final refinement solve doubles as the phase-margin probe,
-/// so no extra solve is spent on the phase.
-GainBandwidth measure_gain_bandwidth(AcSession& session, circuit::NodeId out,
-                                     double f_low = 1.0, double f_high = 10e9,
-                                     const FtBracket* bracket = nullptr);
+/// so no extra solve is spent on the phase.  A caller that has already
+/// solved the phasor at `out` at f_low under this excitation passes it as
+/// `h_low`, which saves that solve and changes no result bit.
+GainBandwidth measure_gain_bandwidth(
+    AcSession& session, circuit::NodeId out, double f_low = 1.0,
+    double f_high = 10e9, const FtBracket* bracket = nullptr,
+    std::optional<std::complex<double>> h_low = std::nullopt);
 
 /// Convenience overload that stamps a fresh session from the netlist at
 /// the given operating point and measures on it.

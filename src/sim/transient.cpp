@@ -43,7 +43,6 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
                  const Vector* x_prev2 = nullptr) {
   const std::size_t n = netlist.system_size();
   const std::size_t num_nodes = netlist.num_nodes();
-  system.set_diagnostic_netlist(&netlist);
   scratch.residual.resize(n);
   scratch.step.resize(n);
   Vector& residual = scratch.residual;
@@ -143,6 +142,7 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
   LinearSystem& system = options.newton.workspace != nullptr
                              ? *options.newton.workspace
                              : local_system;
+  system.set_netlist(&netlist);
   NewtonScratch scratch;
   // The stop reads one unknown; its side of the level at t = 0 sets the
   // direction of the crossing.

@@ -512,6 +512,15 @@ TEST_F(MaskedVerification, MonteCarloCornersRunOnlyTheAcProbesTheirSpecsRead) {
   EXPECT_EQ(tally->at(theta_wc[4]).rows, options.num_samples);
   EXPECT_EQ(tally->at(theta_wc[2]).rows, options.num_samples);
   expect_power_and_cmrr_corner_probes(*tally);
+  // The {A0, f_t, SR+} corner reads no CMRR, but the gain analysis solves
+  // the common-mode phasor anyway: on A0's 1 Hz factors, before the
+  // crossing search moves them, so exactly one solve per row (and none of
+  // the context's nominal crossing) reuses factors.
+  const AcProbeTally::Corner gain_crossing = tally->at(theta_wc[0]);
+  EXPECT_EQ(gain_crossing.rows, options.num_samples);
+  EXPECT_EQ(gain_crossing.stamps, gain_crossing.rows + 1);  // + the context
+  EXPECT_EQ(gain_crossing.solves,
+            gain_crossing.factorizations + gain_crossing.rows);
 }
 
 TEST_F(MaskedVerification, ImportanceSamplingCornersRunOnlyTheAcProbesTheirSpecsRead) {

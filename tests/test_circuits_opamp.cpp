@@ -19,6 +19,7 @@
 #include "circuits/folded_cascode.hpp"
 #include "circuits/miller.hpp"
 #include "obs/obs.hpp"
+#include "sim/source_tree.hpp"
 
 namespace mayo::circuits {
 namespace {
@@ -39,6 +40,10 @@ struct Traits<FoldedCascode> {
   static constexpr std::array<double, 5> kFixedGridSlewRate{
       31.3255849960, 30.6682359858, 31.8321860626, 29.9387040101,
       32.6246884946};
+  /// MNA unknowns and free ones of the slew and AC benches: Vdd, Vinp,
+  /// Vbn2 and Vbp2 (through vdd) fix four nodes; the AC bench's Vinn
+  /// floats.
+  static constexpr std::array<std::size_t, 4> kUnknowns{17, 9, 20, 12};
   static std::vector<std::string> constraint_names() {
     return {"sat(M0)", "sat(M1)", "sat(M2)", "sat(M3)", "sat(M4)", "sat(M5)",
             "sat(M6)", "sat(M7)", "sat(M8)", "sat(M9)", "sat(M10)"};
@@ -56,6 +61,8 @@ struct Traits<Miller> {
   static constexpr std::array<double, 5> kFixedGridSlewRate{
       2.56912268096, 2.51723613437, 2.61082100136, 2.58629309760,
       2.55352886851};
+  /// As for the folded cascode; Vdd and Vinp fix two nodes.
+  static constexpr std::array<std::size_t, 4> kUnknowns{10, 6, 13, 9};
   static std::vector<std::string> constraint_names() {
     return {"sat(M1)", "sat(M2)", "sat(M3)", "sat(M4)",
             "sat(M5)", "sat(M6)", "sat(M7)"};
@@ -265,6 +272,20 @@ TYPED_TEST(OpampContract, EvaluateBatchRejectsWrongOutShape) {
             linalg::PerfBlockView(linalg::MatrixView(out))),
         std::invalid_argument)
         << rows << "x" << cols;
+  }
+}
+
+TYPED_TEST(OpampContract, SolversFactorOnlyTheFreeUnknownsOfEachBench) {
+  const std::array<std::size_t, 4>& unknowns = Traits<TypeParam>::kUnknowns;
+  sim::SourceTree tree;
+  const std::array<std::size_t, 2> analyses{OpampModel::kSlewAnalysis,
+                                            OpampModel::kGainAnalysis};
+  for (std::size_t k = 0; k < analyses.size(); ++k) {
+    const circuit::Netlist& netlist = this->model->bench_netlist(
+        analyses[k], this->d0, this->s0, this->theta0);
+    tree.build(netlist);
+    EXPECT_EQ(tree.size(), unknowns[2 * k]) << k;
+    EXPECT_EQ(tree.free_size(), unknowns[2 * k + 1]) << k;
   }
 }
 

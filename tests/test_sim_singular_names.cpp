@@ -31,7 +31,7 @@ Netlist make_floating_pair() {
 std::string factor_failure_message(Netlist& netlist) {
   const std::size_t n = netlist.system_size();
   LinearSystem system;
-  system.set_diagnostic_netlist(&netlist);
+  system.set_netlist(&netlist);
   linalg::SystemMatrix& jacobian = system.begin(n);
   Vector x(n);
   Vector residual(n);
@@ -57,7 +57,7 @@ TEST(SingularNames, DensePivotNamesTheFloatingNode) {
 TEST(SingularNames, WithoutNetlistContextMessageIsUnchanged) {
   Netlist netlist = make_floating_pair();
   const std::size_t n = netlist.system_size();
-  LinearSystem system;  // no set_diagnostic_netlist
+  LinearSystem system;  // no set_netlist
   linalg::SystemMatrix& jacobian = system.begin(n);
   Vector x(n);
   Vector residual(n);

@@ -52,11 +52,12 @@ one-line diff below):
                     including the simulator kernels under src/sim/) must
                     not construct linalg::Vector, Matrixd, Matrixc or
                     VectorC inside a loop -- workspaces are allocated
-                    once and reused.  The LU kernel and the exact
-                    coordinate scan (HOT_REGION_FILES) get a
-                    function-scoped variant: inside the Lu::factor /
-                    solve_into bodies -- the per-Newton-iteration /
-                    per-probe paths -- and the
+                    once and reused.  The LU kernel, the source tree
+                    around it and the exact coordinate scan
+                    (HOT_REGION_FILES) get a function-scoped variant:
+                    inside the Lu::factor / solve_into and
+                    SourceTree::gather / solve bodies -- the
+                    per-Newton-iteration / per-probe paths -- and the
                     LinearYieldModel::best_alpha body -- one scan per
                     coordinate visit -- no allocating call at all
                     (push_back, resize, reserve, operator new, vector
@@ -135,16 +136,19 @@ HOT_FILES = {
     "src/sim/ac.cpp",
     "src/sim/dc.cpp",
     "src/sim/measure.cpp",
+    "src/sim/solver.cpp",
     "src/sim/transient.cpp",
 }
 
-# Function-scoped hot regions: the LU factor/solve bodies run once per
-# Newton iteration / AC probe, and the exact coordinate scan once per
+# Function-scoped hot regions: the LU factor/solve bodies and the source
+# tree's gather/solve around them run once per Newton iteration / AC
+# probe, and the exact coordinate scan once per
 # coordinate visit of the coordinate search; they must stay
 # allocation-free once their scratch has its size; the rest of the file may
 # allocate.  file -> function names whose bodies are policed.
 HOT_REGION_FILES = {
     "src/linalg/lu.hpp": ("factor", "solve_into"),
+    "src/sim/source_tree.hpp": ("gather", "solve"),
     "src/core/yield_model.cpp": ("best_alpha",),
 }
 
