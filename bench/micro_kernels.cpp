@@ -290,7 +290,7 @@ void BM_MnaSolve(benchmark::State& state, std::size_t analysis) {
   const std::size_t n = netlist.system_size();
   if (analysis == circuits::OpampModel::kSlewAnalysis) {
     const double dt = model.options().sr_dt;
-    const double gmin = sim::DcOptions{}.gmin_floor;
+    const double gmin = sim::kGminFloor;
     sim::LinearSystem system;
     system.set_netlist(&netlist);
     linalg::Vector residual(n);
@@ -332,9 +332,8 @@ void BM_BatchEvalFoldedCascode(benchmark::State& state) {
   // scalar path); larger blocks amortize it.  Compare items_per_second.
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
   FoldedCascodeFixture fx;
-  core::CacheOptions cache;
-  cache.capacity = 1024;  // every probe is distinct; bound the memory
-  core::Evaluator ev(fx.problem, cache);
+  // Every probe is distinct; bound the memory.
+  core::Evaluator ev(fx.problem, /*cache_capacity=*/1024);
   const stats::SampleSet samples(block_size, ev.num_statistical(), 7);
   core::EvalWorkspace ws;
   linalg::Matrixd out(block_size, ev.num_specs());

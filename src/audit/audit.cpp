@@ -3,19 +3,22 @@
 #include "obs/obs.hpp"
 
 namespace mayo::audit {
+namespace {
 
-AuditReport audit_netlist(const circuit::Netlist& netlist,
-                          const NetlistAuditOptions& options) {
-  AuditReport report;
-  if (options.connectivity) {
-    ConnectivityOptions connectivity;
-    connectivity.capacitors_conduct = options.capacitors_conduct;
-    audit_connectivity(netlist, report, connectivity);
-  }
-  if (options.structural) audit_structural(netlist, report);
-  if (options.plausibility) audit_plausibility(netlist, report);
+void count_run(const AuditReport& report) {
   obs::registry().counters.audit_runs.add();
   obs::registry().counters.audit_findings.add(report.size());
+}
+
+}  // namespace
+
+AuditReport audit_netlist(const circuit::Netlist& netlist,
+                          bool capacitors_conduct) {
+  AuditReport report;
+  audit_connectivity(netlist, report, capacitors_conduct);
+  audit_structural(netlist, report);
+  audit_plausibility(netlist, report);
+  count_run(report);
   return report;
 }
 
@@ -32,10 +35,11 @@ bool enforce_active(Enforce enforce) {
 void enforce_boundary(const circuit::Netlist& netlist, Enforce enforce,
                       bool capacitors_conduct) {
   if (!enforce_active(enforce)) return;
-  NetlistAuditOptions options;
-  options.structural = false;  // the cheap families only on hot boundaries
-  options.capacitors_conduct = capacitors_conduct;
-  const AuditReport report = audit_netlist(netlist, options);
+  // The cheap families only on hot boundaries: no structural stamp.
+  AuditReport report;
+  audit_connectivity(netlist, report, capacitors_conduct);
+  audit_plausibility(netlist, report);
+  count_run(report);
   if (report.has_errors()) {
     obs::registry().counters.audit_rejects.add();
     throw AuditError(report);

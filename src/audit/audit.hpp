@@ -1,8 +1,8 @@
 // mayo/audit -- umbrella entry points for the netlist static analysis.
 //
-// `audit_netlist` runs the selected rule families (connectivity,
-// structural rank, plausibility -- see the family headers) and returns
-// the combined AuditReport, bumping the `audit.*` obs counters.
+// `audit_netlist` runs the three rule families (connectivity, structural
+// rank, plausibility -- see the family headers) and returns the combined
+// AuditReport, bumping the `audit.*` obs counters.
 //
 // `enforce_boundary` is the hook the simulation engines and the
 // optimizer entry call before touching a netlist: active always in Debug
@@ -19,21 +19,13 @@
 
 namespace mayo::audit {
 
-/// Rule-family selection for audit_netlist.
-struct NetlistAuditOptions {
-  bool connectivity = true;
-  bool structural = true;
-  bool plausibility = true;
-  /// Forwarded to the connectivity family: AC/transient treat capacitors
-  /// as conduction edges (they stamp admittances there), DC does not.
-  bool capacitors_conduct = false;
-};
-
-/// Runs the selected rule families over `netlist` in a fixed order
-/// (connectivity, structural, plausibility); deterministic output for a
-/// given netlist.
+/// Runs the rule families over `netlist` in a fixed order (connectivity,
+/// structural, plausibility); deterministic output for a given netlist.
+/// `capacitors_conduct` is forwarded to the connectivity family: AC and
+/// transient treat capacitors as conduction edges (they stamp admittances
+/// there), DC does not.
 AuditReport audit_netlist(const circuit::Netlist& netlist,
-                          const NetlistAuditOptions& options = {});
+                          bool capacitors_conduct = false);
 
 /// Boundary-enforcement switch threaded through DcOptions / TranOptions /
 /// AcSession / YieldOptimizerOptions.
@@ -48,8 +40,9 @@ enum class Enforce {
 bool enforce_active(Enforce enforce);
 
 /// Pre-solve gate: when active, runs connectivity + plausibility (no
-/// structural pass) and throws AuditError if the report has errors.
-/// `capacitors_conduct` selects the AC/transient conduction model.
+/// structural pass), counted as one audit run, and throws AuditError if
+/// the report has errors.  `capacitors_conduct` selects the AC/transient
+/// conduction model.
 void enforce_boundary(const circuit::Netlist& netlist, Enforce enforce,
                       bool capacitors_conduct = false);
 

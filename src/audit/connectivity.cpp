@@ -54,6 +54,8 @@ class UnionFind {
 
 /// Flat view of one device's graph contribution.
 struct DeviceEdges {
+  /// Every node the device touches, led by the pair its stamp couples: the
+  /// device is self-looped (AUD-006) when those two are one node.
   std::vector<NodeId> terminals;
   std::vector<std::pair<NodeId, NodeId>> conduction;  // DC Jacobian edges
   bool zero_impedance_branch = false;  // V / VCVS / L: ideal voltage branch
@@ -94,7 +96,9 @@ DeviceEdges classify(const Device& device, bool capacitors_conduct) {
     e.terminals = {d->anode(), d->cathode()};
     e.conduction = {{d->anode(), d->cathode()}};
   } else if (const auto* m = dynamic_cast<const Mosfet*>(&device)) {
-    e.terminals = {m->drain(), m->gate(), m->source(), m->bulk()};
+    // Drain and source lead: drain == gate is the diode connection of
+    // every current mirror, not a self-loop.
+    e.terminals = {m->drain(), m->source(), m->gate(), m->bulk()};
     // Only the channel conducts at DC; the gate and bulk rows get no
     // Jacobian entries from the device (level-1 model, no leakage).
     e.conduction = {{m->drain(), m->source()}};
@@ -105,7 +109,7 @@ DeviceEdges classify(const Device& device, bool capacitors_conduct) {
 }  // namespace
 
 void audit_connectivity(const Netlist& netlist, AuditReport& report,
-                        const ConnectivityOptions& options) {
+                        bool capacitors_conduct) {
   const std::size_t num_nodes = netlist.num_nodes();
   UnionFind full(num_nodes);
   UnionFind conduction(num_nodes);
@@ -119,7 +123,7 @@ void audit_connectivity(const Netlist& netlist, AuditReport& report,
   std::vector<BranchEdge> branch_edges;
   std::vector<BranchEdge> source_edges;
   for (const auto& device : netlist) {
-    const DeviceEdges e = classify(*device, options.capacitors_conduct);
+    const DeviceEdges e = classify(*device, capacitors_conduct);
     for (const NodeId t : e.terminals) ++incidence[t];
     for (std::size_t i = 1; i < e.terminals.size(); ++i)
       full.unite(e.terminals[0], e.terminals[i]);
@@ -216,7 +220,7 @@ void audit_connectivity(const Netlist& netlist, AuditReport& report,
         Severity::kError,
         "node '" + netlist.node_name(static_cast<NodeId>(n)) +
             "' has no DC conduction path to ground" +
-            (options.capacitors_conduct
+            (capacitors_conduct
                  ? ""
                  : " (capacitors are open at DC; current sources do not "
                    "define a node voltage)"),

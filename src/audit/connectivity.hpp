@@ -16,7 +16,9 @@
 //                       components (AUD-004, KCL cannot balance).
 //
 // Plus zero-impedance source loops (AUD-003: a V/E/L edge closing a cycle
-// in the pure branch-device graph) and self-looped devices (AUD-006).
+// in the pure branch-device graph) and self-looped devices (AUD-006: the
+// two nodes the stamp couples are one -- for a MOSFET, drain == source;
+// drain == gate is the diode connection and sound).
 #pragma once
 
 #include "audit/diagnostic.hpp"
@@ -24,15 +26,12 @@
 
 namespace mayo::audit {
 
-struct ConnectivityOptions {
-  /// Treat capacitors as conduction edges.  The AC and transient systems
-  /// stamp C as an admittance / companion conductance, so a node reached
-  /// only through capacitors is well-posed there; at DC it is not.
-  bool capacitors_conduct = false;
-};
-
 /// Runs the connectivity rule family, appending findings to `report`.
+/// `capacitors_conduct` treats capacitors as conduction edges: the AC and
+/// transient systems stamp C as an admittance / companion conductance, so
+/// a node reached only through capacitors is well-posed there; at DC it
+/// is not.
 void audit_connectivity(const circuit::Netlist& netlist, AuditReport& report,
-                        const ConnectivityOptions& options = {});
+                        bool capacitors_conduct = false);
 
 }  // namespace mayo::audit

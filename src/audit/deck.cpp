@@ -1,9 +1,10 @@
 #include "audit/deck.hpp"
 
+#include "audit/audit.hpp"
+
 namespace mayo::audit {
 
-DeckAudit audit_deck(std::string_view deck,
-                     const NetlistAuditOptions& options) {
+DeckAudit audit_deck(std::string_view deck) {
   DeckAudit result;
   try {
     result.circuit = spice::parse_netlist(deck);
@@ -18,7 +19,7 @@ DeckAudit audit_deck(std::string_view deck,
     });
     return result;
   }
-  result.report = audit_netlist(*result.circuit->netlist, options);
+  result.report = audit_netlist(*result.circuit->netlist);
   audit_models(result.circuit->models, result.report);
   return result;
 }

@@ -13,7 +13,7 @@
 #include <optional>
 #include <string_view>
 
-#include "audit/audit.hpp"
+#include "audit/diagnostic.hpp"
 #include "spice/parser.hpp"
 
 namespace mayo::audit {
@@ -26,10 +26,9 @@ struct DeckAudit {
   std::optional<spice::ParsedCircuit> circuit;
 };
 
-/// Parses `deck` and runs the full netlist audit plus the model-card
-/// plausibility checks.  Never throws on bad input: parse failures become
-/// AUD-050 diagnostics.
-DeckAudit audit_deck(std::string_view deck,
-                     const NetlistAuditOptions& options = {});
+/// Parses `deck` and runs the full netlist audit (DC conduction model)
+/// plus the model-card plausibility checks.  Never throws on bad input:
+/// parse failures become AUD-050 diagnostics.
+DeckAudit audit_deck(std::string_view deck);
 
 }  // namespace mayo::audit

@@ -1,10 +1,14 @@
 // mayo/audit -- plausibility rules: parameter values a real circuit could
-// carry.  Device constructors already reject the hard nonsense they can
-// see (non-positive R/C/L, zero-width MOS); these rules catch what slips
-// past construction -- NaN/Inf values (every `x <= 0` guard is false for
-// NaN), physically absurd magnitudes (a 1e15-ohm "resistor" is a typo,
-// not a resistor), and bad model cards -- and report them as diagnostics
-// instead of letting them poison a factorization or a Newton loop.
+// carry.  Device constructors and setters already reject the hard nonsense
+// they can see: Resistor, Capacitor, Inductor, Diode and Mosfet guard
+// their values with `!(x > 0)`, which rejects zero, negatives and NaN, so
+// of the non-finite values only +Inf reaches AUD-020 / AUD-022 for them.
+// The independent sources and the VCVS have no guard; a NaN or Inf value
+// of theirs first shows here (AUD-024 / AUD-025).  These rules catch what
+// slips past construction -- those non-finite values, physically absurd
+// magnitudes (a 1e15-ohm "resistor" is a typo, not a resistor), and bad
+// model cards -- and report them as diagnostics instead of letting them
+// poison a factorization or a Newton loop.
 #pragma once
 
 #include <map>

@@ -17,6 +17,14 @@ using linalg::Vector;
 
 namespace {
 
+/// Direct MC: trial moves per coordinate and sweep, the first sweep's move
+/// size (of the range) and its shrink per sweep.
+constexpr int kCandidatesPerCoordinate = 4;
+constexpr double kInitialStepFraction = 0.4;
+constexpr double kStepShrink = 0.5;
+/// Maximin: grid intervals per coordinate move (kGridPoints + 1 alphas).
+constexpr int kGridPoints = 64;
+
 /// Simulation-based yield estimate (eq. 6) with a fixed sample set.
 /// Returns -1 when the evaluation budget would be exceeded.
 double mc_yield(Evaluator& evaluator, const DesignVec& d,
@@ -85,7 +93,7 @@ DirectMcResult optimize_yield_direct_mc(Evaluator& evaluator,
     return result;
   }
 
-  double step_fraction = options.initial_step_fraction;
+  double step_fraction = kInitialStepFraction;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     result.sweeps = sweep + 1;
     bool any_move = false;
@@ -94,11 +102,11 @@ DirectMcResult optimize_yield_direct_mc(Evaluator& evaluator,
       const double step = step_fraction * range;
       double best_yield = result.yield;
       DesignVec best_d = result.d;
-      for (int c = 1; c <= options.candidates_per_coordinate; ++c) {
+      for (int c = 1; c <= kCandidatesPerCoordinate; ++c) {
         // Alternate positive/negative moves of decreasing size.
         const double magnitude =
             step * static_cast<double>((c + 1) / 2) /
-            static_cast<double>((options.candidates_per_coordinate + 1) / 2);
+            static_cast<double>((kCandidatesPerCoordinate + 1) / 2);
         const double alpha = (c % 2 == 1) ? magnitude : -magnitude;
         DesignVec candidate = result.d;
         candidate[k] = std::clamp(candidate[k] + alpha, space.lower[k],
@@ -123,7 +131,7 @@ DirectMcResult optimize_yield_direct_mc(Evaluator& evaluator,
         any_move = true;
       }
     }
-    step_fraction *= options.shrink;
+    step_fraction *= kStepShrink;
     if (!any_move && sweep > 0) break;
   }
   result.evaluations = evaluator.counts().total();
@@ -175,8 +183,8 @@ MaximinResult maximize_min_beta(const std::vector<SpecLinearization>& models,
       if (lo > hi) continue;
       double best_alpha = 0.0;
       double best = result.min_beta;
-      for (int g = 0; g <= options.grid_points; ++g) {
-        const double alpha = lo + (hi - lo) * g / options.grid_points;
+      for (int g = 0; g <= kGridPoints; ++g) {
+        const double alpha = lo + (hi - lo) * g / kGridPoints;
         DesignVec candidate = result.d;
         candidate[k] += alpha;
         const double value = min_beta_at(candidate);

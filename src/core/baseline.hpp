@@ -32,13 +32,11 @@ namespace mayo::core {
 // 1. Direct Monte-Carlo yield optimization.
 // ------------------------------------------------------------------------
 
+/// Each sweep tries moves of shrinking size per coordinate (baseline.cpp).
 struct DirectMcOptions {
   std::size_t samples = 100;        ///< MC batch per yield estimate
   std::uint64_t seed = 99;          ///< common random numbers
   int max_sweeps = 3;               ///< coordinate sweeps
-  int candidates_per_coordinate = 4;///< trial moves per coordinate & sweep
-  double initial_step_fraction = 0.4;  ///< first sweep's move size (of range)
-  double shrink = 0.5;              ///< step shrink per sweep
   std::size_t max_evaluations = 100000;  ///< hard budget on model evaluations
 };
 
@@ -61,9 +59,9 @@ DirectMcResult optimize_yield_direct_mc(Evaluator& evaluator,
 // 2. Worst-case-distance maximin on the linearized models.
 // ------------------------------------------------------------------------
 
+/// Each coordinate move scans a fixed alpha grid (baseline.cpp).
 struct MaximinOptions {
   int max_sweeps = 40;
-  int grid_points = 64;  ///< candidate alphas per coordinate move
 };
 
 struct MaximinResult {

@@ -9,6 +9,14 @@ namespace mayo::core {
 using linalg::DesignVec;
 using linalg::Vector;
 
+namespace {
+
+/// Fraction of the box range a move must exceed to be applied (suppresses
+/// pure numerical-noise moves).
+constexpr double kMinMoveFraction = 1e-9;
+
+}  // namespace
+
 CoordinateSearchResult maximize_linear_yield(
     LinearYieldModel& model, const FeasibilityModel* feasibility,
     const ParameterSpace& design_space, const CoordinateSearchOptions& options) {
@@ -45,7 +53,7 @@ CoordinateSearchResult maximize_linear_yield(
       obs::registry().counters.cs_scans.add();
       const auto scan = model.best_alpha(k, alpha_lo, alpha_hi);
       if (scan.passing > current_passing &&
-          std::abs(scan.alpha) > options.min_move_fraction * range) {
+          std::abs(scan.alpha) > kMinMoveFraction * range) {
         model.apply_coordinate(k, scan.alpha);
         current_passing = model.passing();
         ++result.moves;

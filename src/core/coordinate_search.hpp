@@ -21,9 +21,6 @@ namespace mayo::core {
 
 struct CoordinateSearchOptions {
   int max_sweeps = 25;  ///< full passes over all coordinates
-  /// Minimum fraction of the box range a plateau move must exceed to be
-  /// applied (suppresses pure numerical-noise moves).
-  double min_move_fraction = 1e-9;
   /// Per-iteration trust region: each coordinate may move away from its
   /// value at search start by at most
   /// max(trust_fraction * |start|, trust_floor_fraction * range).

@@ -27,15 +27,20 @@ using linalg::StatPhysVec;
 using linalg::StatUnitVec;
 using linalg::Vector;
 
-Evaluator::Evaluator(YieldProblem& problem) : Evaluator(problem, CacheOptions{}) {}
+namespace {
 
-Evaluator::Evaluator(YieldProblem& problem, const CacheOptions& cache)
+/// Forward-difference step over d, as a fraction of each design range.
+constexpr double kDesignStepFraction = 1e-3;
+
+}  // namespace
+
+Evaluator::Evaluator(YieldProblem& problem, std::size_t cache_capacity)
     : problem_(problem),
-      cache_(cache.capacity, cache.hash),
+      cache_(cache_capacity),
       // The c(d) cache reports into its own obs group: constraint reuse
       // and performance-probe reuse are different signals when reading a
       // run report.
-      constraint_cache_(0, cache.hash,
+      constraint_cache_(0, nullptr,
                         &obs::registry().counters.constraint_cache) {
   problem.validate();
   spec_analysis_.resize(num_specs());
@@ -311,14 +316,13 @@ Vector Evaluator::constraints(const DesignVec& d) {
 
 StatUnitVec Evaluator::margin_gradient_s(std::size_t spec, const DesignVec& d,
                                          const StatUnitVec& s_hat,
-                                         const OperatingVec& theta,
-                                         double step) {
+                                         const OperatingVec& theta) {
   const double base = margin(spec, d, s_hat, theta);
   StatUnitVec grad(num_statistical());
   StatUnitVec probe = s_hat;
   for (std::size_t i = 0; i < num_statistical(); ++i) {
-    probe[i] = s_hat[i] + step;
-    grad[i] = (margin(spec, d, probe, theta) - base) / step;
+    probe[i] = s_hat[i] + kSHatStep;
+    grad[i] = (margin(spec, d, probe, theta) - base) / kSHatStep;
     probe[i] = s_hat[i];
   }
   return grad;
@@ -326,7 +330,7 @@ StatUnitVec Evaluator::margin_gradient_s(std::size_t spec, const DesignVec& d,
 
 Matrixd Evaluator::margin_gradients_s(const DesignVec& d,
                                       const StatUnitVec& s_hat,
-                                      const OperatingVec& theta, double step) {
+                                      const OperatingVec& theta) {
   validate_point(d, theta, s_hat.size());
   const std::size_t n_s = num_statistical();
   const std::size_t n_f = num_specs();
@@ -339,7 +343,7 @@ Matrixd Evaluator::margin_gradients_s(const DesignVec& d,
   for (std::size_t r = 0; r < n_s + 1; ++r) {
     double* row = grad_points_.row(r);
     for (std::size_t i = 0; i < n_s; ++i) row[i] = s_hat[i];
-    if (r > 0) row[r - 1] = s_hat[r - 1] + step;
+    if (r > 0) row[r - 1] = s_hat[r - 1] + kSHatStep;
   }
   margins_batch(d, linalg::StatUnitBlock(ConstMatrixView(grad_points_)), theta,
                 linalg::MarginBlockView(MatrixView(grad_margins_)), grad_ws_);
@@ -348,22 +352,22 @@ Matrixd Evaluator::margin_gradients_s(const DesignVec& d,
   for (std::size_t i = 0; i < n_s; ++i) {
     const double* shifted = grad_margins_.row(i + 1);
     for (std::size_t k = 0; k < n_f; ++k)
-      grads(k, i) = (shifted[k] - base[k]) / step;
+      grads(k, i) = (shifted[k] - base[k]) / kSHatStep;
   }
   return grads;
 }
 
 DesignVec Evaluator::margin_gradient_d(std::size_t spec, const DesignVec& d,
                                        const StatUnitVec& s_hat,
-                                       const OperatingVec& theta,
-                                       double step_fraction) {
+                                       const OperatingVec& theta) {
   const double base = margin(spec, d, s_hat, theta);
   const auto& space = problem_.design;
   DesignVec grad(num_design());
   DesignVec probe = d;
   for (std::size_t i = 0; i < num_design(); ++i) {
     const double range = space.upper[i] - space.lower[i];
-    double h = step_fraction * (range > 0.0 ? range : std::abs(d[i]) + 1.0);
+    double h = kDesignStepFraction *
+               (range > 0.0 ? range : std::abs(d[i]) + 1.0);
     // Step inward if the nominal sits at the upper bound.
     if (d[i] + h > space.upper[i]) h = -h;
     probe[i] = d[i] + h;
@@ -373,15 +377,15 @@ DesignVec Evaluator::margin_gradient_d(std::size_t spec, const DesignVec& d,
   return grad;
 }
 
-Matrixd Evaluator::constraint_jacobian(const DesignVec& d,
-                                       double step_fraction) {
+Matrixd Evaluator::constraint_jacobian(const DesignVec& d) {
   const Vector base = constraints(d);
   const auto& space = problem_.design;
   Matrixd jac(base.size(), num_design());
   DesignVec probe = d;
   for (std::size_t i = 0; i < num_design(); ++i) {
     const double range = space.upper[i] - space.lower[i];
-    double h = step_fraction * (range > 0.0 ? range : std::abs(d[i]) + 1.0);
+    double h = kDesignStepFraction *
+               (range > 0.0 ? range : std::abs(d[i]) + 1.0);
     if (d[i] + h > space.upper[i]) h = -h;
     probe[i] = d[i] + h;
     const Vector shifted = constraints(probe);  // hot-ok: cold FD path

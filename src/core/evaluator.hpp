@@ -73,14 +73,8 @@ struct EvaluationCounts {
 /// Budget a model evaluation is charged to.
 enum class Budget { kOptimization, kVerification };
 
-/// Cache tuning knobs (defaults reproduce the historical behaviour:
-/// unbounded memoization with FNV-1a hashing).  `hash` is injectable for
-/// collision regression tests; `capacity` bounds the evaluation cache with
-/// deterministic FIFO eviction (0 = unlimited).
-struct CacheOptions {
-  std::size_t capacity = 0;
-  ProbeCache::HashFn hash = nullptr;
-};
+/// Forward-difference step of the gradients w.r.t. s_hat (sigma units).
+inline constexpr double kSHatStep = 5e-2;
 
 /// Caller-owned scratch for the batch evaluation path.  Buffers grow on
 /// first use and are reused across blocks; after warm-up a batch call
@@ -101,8 +95,9 @@ struct EvalWorkspace {
 class Evaluator {
  public:
   /// The problem must outlive the evaluator.  Throws via validate().
-  explicit Evaluator(YieldProblem& problem);
-  Evaluator(YieldProblem& problem, const CacheOptions& cache);
+  /// `cache_capacity` bounds the evaluation cache with deterministic FIFO
+  /// eviction (0 = unlimited, the historical behaviour).
+  explicit Evaluator(YieldProblem& problem, std::size_t cache_capacity = 0);
 
   const YieldProblem& problem() const { return problem_; }
   std::size_t num_specs() const { return problem_.specs.size(); }
@@ -165,14 +160,13 @@ class Evaluator {
   /// Functional constraint values c(d) (cached like performances).
   linalg::Vector constraints(const linalg::DesignVec& d);
 
-  /// Gradient of one spec's margin w.r.t. s_hat (forward differences,
-  /// reusing the base evaluation; n_s extra evaluations).  A gradient
-  /// w.r.t. s_hat is itself a direction in StatUnit space.
+  /// Gradient of one spec's margin w.r.t. s_hat (forward differences of
+  /// step kSHatStep, reusing the base evaluation; n_s extra evaluations).
+  /// A gradient w.r.t. s_hat is itself a direction in StatUnit space.
   linalg::StatUnitVec margin_gradient_s(std::size_t spec,
                                         const linalg::DesignVec& d,
                                         const linalg::StatUnitVec& s_hat,
-                                        const linalg::OperatingVec& theta,
-                                        double step = 5e-2);
+                                        const linalg::OperatingVec& theta);
 
   /// Gradients of ALL specs' margins w.r.t. s_hat in one pass (shares the
   /// finite-difference evaluations across specs; the base point and the
@@ -180,20 +174,18 @@ class Evaluator {
   /// StatUnit direction; returned untyped for linalg interop).
   linalg::Matrixd margin_gradients_s(const linalg::DesignVec& d,
                                      const linalg::StatUnitVec& s_hat,
-                                     const linalg::OperatingVec& theta,
-                                     double step = 5e-2);
+                                     const linalg::OperatingVec& theta);
 
-  /// Gradient of one spec's margin w.r.t. d.  Steps are relative to the
-  /// design-space ranges (step_fraction * (upper - lower)).
+  /// Gradient of one spec's margin w.r.t. d.  Steps are 1e-3 of each
+  /// design-space range (upper - lower), taken inward at the upper bound.
   linalg::DesignVec margin_gradient_d(std::size_t spec,
                                       const linalg::DesignVec& d,
                                       const linalg::StatUnitVec& s_hat,
-                                      const linalg::OperatingVec& theta,
-                                      double step_fraction = 1e-3);
+                                      const linalg::OperatingVec& theta);
 
-  /// Jacobian of the constraints w.r.t. d (forward differences).
-  linalg::Matrixd constraint_jacobian(const linalg::DesignVec& d,
-                                      double step_fraction = 1e-3);
+  /// Jacobian of the constraints w.r.t. d (forward differences, the steps
+  /// of margin_gradient_d).
+  linalg::Matrixd constraint_jacobian(const linalg::DesignVec& d);
 
   /// Analysis that measures spec `spec`, as a mask (one bit).
   AnalysisMask spec_analyses(std::size_t spec) const {

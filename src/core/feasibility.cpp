@@ -49,13 +49,12 @@ std::pair<double, double> FeasibilityModel::coordinate_interval(
 }
 
 FeasibilityModel linearize_feasibility(Evaluator& evaluator,
-                                       const DesignVec& d_f,
-                                       double step_fraction) {
+                                       const DesignVec& d_f) {
   const obs::Span span(obs::registry().phases.feasibility);
   FeasibilityModel model;
   model.d_f = d_f;
   model.c0 = evaluator.constraints(d_f);
-  model.jacobian = evaluator.constraint_jacobian(d_f, step_fraction);
+  model.jacobian = evaluator.constraint_jacobian(d_f);
   return model;
 }
 
@@ -127,8 +126,7 @@ FeasibleStartResult find_feasible_start(Evaluator& evaluator,
     for (std::size_t i = 0; i < c.size(); ++i)
       if (c[i] < options.target_margin) active.push_back(i);
 
-    const Matrixd jac =
-        evaluator.constraint_jacobian(result.d, options.step_fraction);
+    const Matrixd jac = evaluator.constraint_jacobian(result.d);
     Matrixd a(active.size(), space.dimension());
     Vector b(active.size());
     for (std::size_t r = 0; r < active.size(); ++r) {

@@ -42,8 +42,7 @@ struct FeasibilityModel {
 
 /// Builds the constraint linearization at a (feasible) point d_f.
 FeasibilityModel linearize_feasibility(Evaluator& evaluator,
-                                       const linalg::DesignVec& d_f,
-                                       double step_fraction = 1e-3);
+                                       const linalg::DesignVec& d_f);
 
 /// Controls for the feasible-start search of Sec. 5.5.
 struct FeasibleStartOptions {
@@ -52,7 +51,6 @@ struct FeasibleStartOptions {
   /// the subsequent linearization steps).
   double target_margin = 0.0;
   double tolerance = 1e-9;  ///< accepted residual violation
-  double step_fraction = 1e-3;
 };
 
 /// Result of the feasible-start search.

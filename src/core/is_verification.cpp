@@ -76,7 +76,7 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
     // the assumption-free plain Wilson bound.
     estimate.fail_probability = 0.0;
     const stats::YieldInterval ci =
-        stats::weighted_yield_confidence(0.0, n, options.z);
+        stats::weighted_yield_confidence(0.0, n);
     double weight_cap = 1.0;
     if (options.shift_scale > 0.0 && shift_norm > 0.0)
       weight_cap = std::min(
@@ -92,7 +92,7 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
   // the big weights live where f = 0 and never touch p_hat -- so it
   // would misfire exactly in the high-beta regime.)
   estimate.self_normalized =
-      estimate.ess < options.ess_fraction * static_cast<double>(acc.fails);
+      estimate.ess < kIsEssFraction * static_cast<double>(acc.fails);
 
   const double p_unbiased = acc.sum_fw / n;
   // sum_w >= sum_fw > 0 in this branch, so the ratio is well defined.
@@ -121,7 +121,7 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
   double n_eff = n;
   if (var_mean > 0.0 && p > 0.0 && p < 1.0) n_eff = p * (1.0 - p) / var_mean;
   const stats::YieldInterval ci =
-      stats::weighted_yield_confidence(p, n_eff, options.z);
+      stats::weighted_yield_confidence(p, n_eff);
   estimate.lower = std::min(ci.lower, p);
   estimate.upper = std::max(ci.upper, p);
   return estimate;

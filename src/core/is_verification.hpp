@@ -31,7 +31,7 @@
 // for a shift of norm b even when the estimator is healthy (the large
 // weights sit exactly where f = 0 and never enter p_hat), so it would
 // misfire in the high-beta regime this verifier exists for.  The
-// confidence interval is the Wilson-analogue
+// confidence interval is the 95% Wilson-analogue
 // (stats::weighted_yield_confidence) at the variance-matched effective
 // count n_eff = p (1 - p) / Var(p_hat), where Var(p_hat) is the sample
 // variance of the weighted estimator terms -- for unit weights this is
@@ -66,6 +66,10 @@
 
 namespace mayo::core {
 
+/// Self-normalized fallback threshold: a spec switches to p_tilde when
+/// its ESS_f < kIsEssFraction * (failing draws).
+inline constexpr double kIsEssFraction = 0.2;
+
 struct IsVerificationOptions {
   std::size_t initial_samples = 64;  ///< round-0 samples per spec (> 0)
   std::size_t round_samples = 64;    ///< budget per adaptive round
@@ -82,12 +86,8 @@ struct IsVerificationOptions {
   std::size_t block_size = 32;
   /// Proposal mean mu_i = shift_scale * s_wc_i.  1.0 is the classic
   /// worst-case mean shift; larger values are useful only to provoke
-  /// the ESS fallback in tests.
+  /// the ESS fallback (kIsEssFraction) in tests.
   double shift_scale = 1.0;
-  /// Self-normalized fallback threshold on the failure-restricted
-  /// effective sample size: ESS_f < ess_fraction * (failing draws).
-  double ess_fraction = 0.2;
-  double z = 1.96;  ///< CI width (1.96 ~ 95%)
   /// Worker threads (core/fan_out.hpp): 1 = serial, 0 = hardware
   /// concurrency.  Results are bitwise identical for every thread count;
   /// only evaluation-cache hit patterns (and hence eval counts) can

@@ -94,8 +94,8 @@ LinearizedModels build_linearizations(Evaluator& evaluator,
     std::vector<linalg::Matrixd> nominal_grads;
     nominal_grads.reserve(grouping.distinct.size());
     for (const OperatingVec& theta : grouping.distinct)
-      nominal_grads.push_back(evaluator.margin_gradients_s(
-          d_f, s_nominal, theta, options.wc.gradient_step));
+      nominal_grads.push_back(
+          evaluator.margin_gradients_s(d_f, s_nominal, theta));
     for (std::size_t i = 0; i < num_specs; ++i) {
       WorstCasePoint& wc = wcs[i];
       wc.spec = i;
@@ -116,8 +116,7 @@ LinearizedModels build_linearizations(Evaluator& evaluator,
                           Evaluator& ev) {  // parallel-entry
     for (std::size_t i = w; i < num_specs; i += n)
       grads_d[i] = ev.margin_gradient_d(i, d_f, wcs[i].s_wc,
-                                        out.operating.theta_wc[i],
-                                        options.design_step_fraction);
+                                        out.operating.theta_wc[i]);
   });
 
   for (std::size_t i = 0; i < num_specs; ++i) {

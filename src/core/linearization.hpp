@@ -50,7 +50,6 @@ struct LinearizationOptions {
   bool linearize_at_nominal = false;
   /// Add mirrored models for detected quadratic performances (eq. 21-22).
   bool enable_mirror = true;
-  double design_step_fraction = 1e-3;  ///< finite-difference step over d
 };
 
 /// Everything the yield-improvement step needs at one iterate.

@@ -103,8 +103,7 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
     // Step 2: models are already linearized at d_f.  Constraints too:
     FeasibilityModel feasibility;
     if (options.use_constraints)
-      feasibility = linearize_feasibility(
-          evaluator, d_f, options.linearization.design_step_fraction);
+      feasibility = linearize_feasibility(evaluator, d_f);
 
     // Steps 3-5 with a shrinking trust region: if the candidate's
     // re-linearized yield estimate fell below the previous iterate's, the

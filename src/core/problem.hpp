@@ -49,11 +49,6 @@ struct Specification {
   double margin(double value) const {
     return kind == SpecKind::kLowerBound ? value - bound : bound - value;
   }
-  /// Maps a margin back to the performance value.
-  double value_from_margin(double margin_value) const {
-    return kind == SpecKind::kLowerBound ? bound + margin_value
-                                         : bound - margin_value;
-  }
 };
 
 /// Box-bounded parameter space with names.

@@ -15,6 +15,13 @@ using linalg::StatUnitVec;
 
 namespace {
 
+/// |margin| < kMarginTolerance * spec.scale converges a start.
+constexpr double kMarginTolerance = 1e-3;
+/// Curvature-seeded start along an axis whose -c_i / 2 exceeds this times
+/// spec.scale; at most kMaxExtraStarts of them, most curved first.
+constexpr double kCurvatureThreshold = 0.05;
+constexpr int kMaxExtraStarts = 4;
+
 struct SearchOutcome {
   StatUnitVec s;
   double margin = 0.0;
@@ -30,7 +37,7 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
                          const WcDistanceOptions& options) {
   SearchOutcome out;
   out.s = start;
-  double damping = options.damping;
+  double damping = 1.0;  // halved on overshoot, regrown on progress
   double prev_abs_margin = std::numeric_limits<double>::infinity();
   bool on_sphere = false;  // the last step was clamped to max_radius
 
@@ -38,8 +45,7 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
     ++out.iterations;
     obs::registry().counters.wc_iterations.add();
     out.margin = evaluator.margin(spec, d, out.s, theta_wc);
-    out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc,
-                                               options.gradient_step);
+    out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc);
     const double g2 = out.gradient.norm2();
     if (g2 < 1e-20) return out;  // flat -- this start is hopeless
 
@@ -67,8 +73,8 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
     if (on_sphere) s_new *= options.max_radius / radius;
 
     const double moved = linalg::distance(s_new, out.s);
-    if (std::abs(out.margin) < options.margin_tolerance * scale &&
-        moved < options.step_tolerance) {
+    if (std::abs(out.margin) < kMarginTolerance * scale &&
+        moved < kWcStepTolerance) {
       out.converged = true;
       return out;
     }
@@ -81,9 +87,8 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
   // Iteration cap: re-linearize at the last accepted iterate, so the margin
   // and gradient describe the returned point, and accept a good residual.
   out.margin = evaluator.margin(spec, d, out.s, theta_wc);
-  out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc,
-                                             options.gradient_step);
-  out.converged = std::abs(out.margin) < options.margin_tolerance * scale * 10.0;
+  out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc);
+  out.converged = std::abs(out.margin) < kMarginTolerance * scale * 10.0;
   return out;
 }
 
@@ -101,7 +106,7 @@ SearchOutcome multi_start_search(Evaluator& evaluator, std::size_t spec,
   starts.emplace_back(n);  // the nominal point
 
   if (options.curvature_starts && margin_nominal > 0.0) {
-    const double h = options.gradient_step;
+    const double h = kSHatStep;
     struct Axis {
       std::size_t index;
       double curvature;
@@ -119,7 +124,7 @@ SearchOutcome multi_start_search(Evaluator& evaluator, std::size_t spec,
           (m_plus - 2.0 * margin_nominal + m_minus) / (h * h);
       // A mismatch axis hurts on both sides and with meaningful strength.
       if (m_plus < margin_nominal && m_minus < margin_nominal &&
-          -curvature * 0.5 > options.curvature_threshold * scale) {
+          -curvature * 0.5 > kCurvatureThreshold * scale) {
         const double radius = std::clamp(
             std::sqrt(2.0 * std::max(margin_nominal, 0.1 * scale) /
                       (-curvature)),
@@ -130,7 +135,7 @@ SearchOutcome multi_start_search(Evaluator& evaluator, std::size_t spec,
     std::sort(axes.begin(), axes.end(), [](const Axis& a, const Axis& b) {
       return a.curvature < b.curvature;  // most negative first
     });
-    int budget = options.max_extra_starts;
+    int budget = kMaxExtraStarts;
     for (const Axis& axis : axes) {
       if (budget <= 0) break;
       StatUnitVec plus(n);
@@ -221,7 +226,7 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
     result.margin_at_mirror = evaluator.margin(spec, d, -result.s_wc, theta_wc);
     result.mirrored =
         result.margin_at_mirror <
-        0.25 * result.margin_nominal + options.margin_tolerance * scale;
+        0.25 * result.margin_nominal + kMarginTolerance * scale;
   }
   return result;
 }

@@ -18,10 +18,10 @@
 //     s_{k+1} = g_k (g_k^T s_k - m_k) / (g_k^T g_k) ,
 //
 // damped and clamped to the trust sphere ||s|| <= max_radius.  A start
-// converges when |m_k| < margin_tolerance * scale and the step is shorter
-// than step_tolerance.  It stops, not converged, as soon as an iterate
-// whose step onto it was clamped linearizes to a level set still beyond
-// max_radius: the spec is out of reach, and walking the sphere to the
+// converges when |m_k| < 1e-3 * scale (the spec's scale) and the step is
+// shorter than kWcStepTolerance.  It stops, not converged, as soon as an
+// iterate whose step onto it was clamped linearizes to a level set still
+// beyond max_radius: the spec is out of reach, and walking the sphere to the
 // iteration cap would only report the same beta = +-max_radius.  A start
 // that reaches max_iterations is re-linearized at its last iterate, so the
 // returned point, margin and gradient always describe one point.
@@ -66,18 +66,15 @@
 
 namespace mayo::core {
 
+/// ||s_{k+1} - s_k|| below which a converging start stops (sigma units).
+inline constexpr double kWcStepTolerance = 1e-3;
+
 /// Controls for the worst-case distance search.
 struct WcDistanceOptions {
   int max_iterations = 12;        ///< sequential-linearization iterations
-  double margin_tolerance = 1e-3; ///< |margin| < tol * spec.scale converges
-  double step_tolerance = 1e-3;   ///< ||s_{k+1} - s_k|| convergence threshold
-  double gradient_step = 5e-2;    ///< finite-difference step in s_hat
   double max_radius = 10.0;       ///< trust clamp on ||s|| (sigma units);
                                   ///< level sets beyond it are out of reach
-  double damping = 1.0;           ///< initial step damping (halved on overshoot)
   bool curvature_starts = true;   ///< launch extra searches along quadratic axes
-  double curvature_threshold = 0.05; ///< |c_i| * scale threshold for a start
-  int max_extra_starts = 4;       ///< cap on curvature-seeded starts
 };
 
 /// Result of the search for one specification.

@@ -54,19 +54,6 @@ Vector Cholesky::solve(const Vector& b) const {
   return x;
 }
 
-Vector Cholesky::apply_factor(const Vector& v) const {
-  const std::size_t n = size();
-  if (v.size() != n)
-    throw std::invalid_argument("Cholesky::apply_factor: size mismatch");
-  Vector out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) acc += l_(i, j) * v[j];
-    out[i] = acc;
-  }
-  return out;
-}
-
 Vector Cholesky::apply_factor_inverse(const Vector& v) const {
   const std::size_t n = size();
   if (v.size() != n)
@@ -78,12 +65,6 @@ Vector Cholesky::apply_factor_inverse(const Vector& v) const {
     y[i] = acc / l_(i, i);
   }
   return y;
-}
-
-double Cholesky::log_determinant() const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < size(); ++i) acc += std::log(l_(i, i));
-  return 2.0 * acc;
 }
 
 bool is_symmetric(const Matrixd& a, double tol) {

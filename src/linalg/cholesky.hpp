@@ -28,15 +28,9 @@ class Cholesky {
   /// Solves A x = b via forward/back substitution.
   Vector solve(const Vector& b) const;
 
-  /// L * v -- maps a standard-normal vector to covariance A.
-  Vector apply_factor(const Vector& v) const;
-
   /// Solves L y = v (forward substitution only) -- maps a correlated vector
-  /// back to standard-normal coordinates, the inverse of apply_factor.
+  /// back to standard-normal coordinates, the inverse of v -> L v.
   Vector apply_factor_inverse(const Vector& v) const;
-
-  /// log(det A) = 2 * sum log L_ii.
-  double log_determinant() const;
 
  private:
   Matrixd l_;

@@ -23,44 +23,6 @@ void gemv_into(ConstMatrixView m, const Vector& x, Vector& y) {
   gemv_into(m, x.data(), y.data());
 }
 
-void axpy_into(Vector& y, double alpha, const Vector& x) {
-  if (y.size() != x.size())
-    throw std::invalid_argument("axpy_into: size mismatch");
-  double* yp = y.data();
-  const double* xp = x.data();
-  for (std::size_t i = 0; i < y.size(); ++i) yp[i] += alpha * xp[i];
-}
-
-void copy_axpy_into(Vector& y, const Vector& x, double alpha, const Vector& z) {
-  if (y.size() != x.size() || y.size() != z.size())
-    throw std::invalid_argument("copy_axpy_into: size mismatch");
-  double* yp = y.data();
-  const double* xp = x.data();
-  const double* zp = z.data();
-  for (std::size_t i = 0; i < y.size(); ++i) yp[i] = xp[i] + alpha * zp[i];
-}
-
-void cholesky_solve_into(const Cholesky& chol, const Vector& b, Vector& out) {
-  const std::size_t n = chol.size();
-  if (b.size() != n)
-    throw std::invalid_argument("cholesky_solve_into: rhs size mismatch");
-  if (out.size() != n)
-    throw std::invalid_argument("cholesky_solve_into: out size mismatch");
-  const Matrixd& l = chol.factor();
-  // L y = b (y lives in `out`).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l(i, j) * out[j];
-    out[i] = acc / l(i, i);
-  }
-  // L^T x = y, in place back to front.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = out[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l(j, ii) * out[j];
-    out[ii] = acc / l(ii, ii);
-  }
-}
-
 void assemble_complex_into(const double* g, const double* c, double omega,
                            std::complex<double>* a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)

@@ -1,16 +1,15 @@
-// mayo/linalg -- allocation-free in-place kernels for the batched hot path.
+// mayo/linalg -- allocation-free in-place kernels for the batched hot path:
+// the linear-model yield sweep (gemv_into) and the AC system assembly
+// (assemble_complex_into).
 //
 // Every routine writes into caller-owned storage; none allocates.  Bitwise
 // contract: `gemv_into` accumulates each output element in ascending column
 // order, matching the scalar inner-product loops it replaces
 // (SampleSet::dot, LinearYieldModel's eq.-17 sweep), so porting a consumer
 // from per-sample dots to one gemv cannot change a single result bit.
-// `cholesky_solve_into` performs the identical substitution sequence as
-// Cholesky::solve, reusing `out` for the intermediate forward solve.
 #pragma once
 
 #include "linalg/block.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -22,18 +21,6 @@ void gemv_into(ConstMatrixView m, const double* x, double* y);
 
 /// Checked Vector form of gemv_into; y must be pre-sized to m.rows().
 void gemv_into(ConstMatrixView m, const Vector& x, Vector& y);
-
-/// y += alpha * x (elementwise); sizes must agree.
-void axpy_into(Vector& y, double alpha, const Vector& x);
-
-/// y = x, then y += alpha * z in one pass (a fused copy-axpy); all three
-/// must share one size.
-void copy_axpy_into(Vector& y, const Vector& x, double alpha, const Vector& z);
-
-/// Solves A out = b for the factorization chol of A, without allocating:
-/// forward substitution L y = b into `out`, then back substitution
-/// L^T x = y in place.  `out` must be pre-sized to chol.size().
-void cholesky_solve_into(const Cholesky& chol, const Vector& b, Vector& out);
 
 /// a[i] = complex(g[i], omega * c[i]) for `n` entries: assembles the AC
 /// system A = G + j omega C from the session's frequency-independent real

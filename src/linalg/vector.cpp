@@ -89,13 +89,6 @@ double distance(const Vector& a, const Vector& b) {
   return std::sqrt(acc);
 }
 
-Vector hadamard(const Vector& a, const Vector& b) {
-  check_same_size(a, b, "hadamard");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
 Vector axpy(const Vector& a, double scale, const Vector& b) {
   check_same_size(a, b, "axpy");
   Vector out(a.size());

@@ -87,8 +87,6 @@ Vector operator-(Vector v);
 double dot(const Vector& a, const Vector& b);
 /// Euclidean distance between two points.
 double distance(const Vector& a, const Vector& b);
-/// Elementwise product.
-Vector hadamard(const Vector& a, const Vector& b);
 /// `a + scale * b` without constructing temporaries beyond the result.
 Vector axpy(const Vector& a, double scale, const Vector& b);
 /// Unit vector `e_k` of dimension `n` (1 at index `k`).

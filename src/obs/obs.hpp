@@ -211,7 +211,7 @@ struct Counters {
   /// benchmark reads it for its `linalg.sparse.refactor` metric.
   Counter sparse_refactor;
 
-  Counter audit_runs;      ///< audit_netlist invocations
+  Counter audit_runs;      ///< audit_netlist and active enforce_boundary calls
   Counter audit_findings;  ///< diagnostics produced across all runs
   Counter audit_rejects;   ///< boundary enforcements that threw AuditError
 

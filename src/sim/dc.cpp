@@ -72,7 +72,7 @@ bool newton(Netlist& netlist, const Conditions& conditions,
     }
 
     const double max_res = residual.max_abs();
-    if (max_dv < options.vntol && max_res < options.abstol && scale == 1.0)
+    if (max_dv < kVntol && max_res < kAbstol && scale == 1.0)
       return true;
   }
   return false;
@@ -123,7 +123,7 @@ DcResult solve_dc_impl(Netlist& netlist, const Conditions& conditions,
   NewtonScratch scratch;
 
   // Attempt 1: plain Newton from the seed.
-  if (newton(netlist, conditions, options, options.gmin_floor, result.solution,
+  if (newton(netlist, conditions, options, kGminFloor, result.solution,
              result.newton_iterations, system, scratch)) {
     result.converged = true;
     return result;
@@ -133,15 +133,15 @@ DcResult solve_dc_impl(Netlist& netlist, const Conditions& conditions,
   if (options.allow_gmin_stepping) {
     Vector x(netlist.system_size());
     bool ok = true;
-    for (double gmin = 1e-2; gmin >= options.gmin_floor / 2.0; gmin *= 0.01) {
+    for (double gmin = 1e-2; gmin >= kGminFloor / 2.0; gmin *= 0.01) {
       ++result.continuation_steps;
-      if (!newton(netlist, conditions, options, std::max(gmin, options.gmin_floor),
+      if (!newton(netlist, conditions, options, std::max(gmin, kGminFloor),
                   x, result.newton_iterations, system, scratch)) {
         ok = false;
         break;
       }
     }
-    if (ok && newton(netlist, conditions, options, options.gmin_floor, x,
+    if (ok && newton(netlist, conditions, options, kGminFloor, x,
                      result.newton_iterations, system, scratch)) {
       result.solution = x;
       result.converged = true;
@@ -157,7 +157,7 @@ DcResult solve_dc_impl(Netlist& netlist, const Conditions& conditions,
     for (double factor : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       ++result.continuation_steps;
       scaler.apply(factor);
-      if (!newton(netlist, conditions, options, options.gmin_floor, x,
+      if (!newton(netlist, conditions, options, kGminFloor, x,
                   result.newton_iterations, system, scratch)) {
         ok = false;
         break;

@@ -20,13 +20,18 @@ namespace mayo::sim {
 
 class LinearSystem;
 
+/// Newton convergence: a DC iteration converges once every node-voltage
+/// update is below kVntol and every residual current below kAbstol (a
+/// transient step: ten times both).  kGminFloor is the shunt from every
+/// node to ground kept in all solves, DC and transient.
+inline constexpr double kAbstol = 1e-9;      ///< [A]
+inline constexpr double kVntol = 1e-9;       ///< [V]
+inline constexpr double kGminFloor = 1e-12;  ///< [S]
+
 /// Newton iteration controls.
 struct DcOptions {
   int max_iterations = 150;      ///< Newton iterations per attempt
-  double abstol = 1e-9;          ///< residual current tolerance [A]
-  double vntol = 1e-9;           ///< node voltage update tolerance [V]
   double max_step_v = 0.4;       ///< damping clamp on voltage updates [V]
-  double gmin_floor = 1e-12;     ///< shunt conductance kept in all solves [S]
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
   /// Pre-solve netlist audit (connectivity + plausibility, no structural

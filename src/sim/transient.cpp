@@ -55,9 +55,8 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
                     x_prev2);
     for (const auto& device : netlist) device->stamp_tran(stamp);
     for (std::size_t k = 0; k + 1 < num_nodes; ++k) {
-      jacobian.add(static_cast<int>(k), static_cast<int>(k),
-                   options.gmin_floor);
-      residual[k] += options.gmin_floor * x[k];
+      jacobian.add(static_cast<int>(k), static_cast<int>(k), kGminFloor);
+      residual[k] += kGminFloor * x[k];
     }
 
     try {
@@ -78,7 +77,7 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
       x[k] += delta;
       if (k + 1 < num_nodes) max_dv = std::max(max_dv, std::abs(delta));
     }
-    if (max_dv < options.vntol * 10.0 && residual.max_abs() < options.abstol * 10.0)
+    if (max_dv < kVntol * 10.0 && residual.max_abs() < kAbstol * 10.0)
       return true;
   }
   return false;
@@ -240,32 +239,6 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
   tallies.tran_newton_iterations.add(
       static_cast<std::uint64_t>(result.newton_iterations));
   return result;
-}
-
-double max_slope(const std::vector<double>& time,
-                 const std::vector<double>& values) {
-  if (time.size() != values.size())
-    throw std::invalid_argument("max_slope: size mismatch");
-  double best = 0.0;
-  for (std::size_t k = 1; k < time.size(); ++k) {
-    const double h = time[k] - time[k - 1];
-    if (h <= 0.0) continue;
-    best = std::max(best, (values[k] - values[k - 1]) / h);
-  }
-  return best;
-}
-
-double max_negative_slope(const std::vector<double>& time,
-                          const std::vector<double>& values) {
-  if (time.size() != values.size())
-    throw std::invalid_argument("max_negative_slope: size mismatch");
-  double best = 0.0;
-  for (std::size_t k = 1; k < time.size(); ++k) {
-    const double h = time[k] - time[k - 1];
-    if (h <= 0.0) continue;
-    best = std::max(best, -(values[k] - values[k - 1]) / h);
-  }
-  return best;
 }
 
 }  // namespace mayo::sim

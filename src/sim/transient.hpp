@@ -84,14 +84,4 @@ TranResult solve_transient(circuit::Netlist& netlist,
                            const circuit::Conditions& conditions,
                            const TranOptions& options);
 
-/// Maximum signed slope max_t dV/dt of a waveform [unit/s]; takes the
-/// maximum of (v[k+1]-v[k]) / (time[k+1]-time[k]) over the intervals of
-/// positive length.  Returns 0 for fewer than two points.
-double max_slope(const std::vector<double>& time,
-                 const std::vector<double>& values);
-
-/// Maximum negative slope magnitude (for falling edges).
-double max_negative_slope(const std::vector<double>& time,
-                          const std::vector<double>& values);
-
 }  // namespace mayo::sim

@@ -65,6 +65,4 @@ double normal_quantile(double p) {
 
 double yield_from_beta(double beta) { return normal_cdf(beta); }
 
-double beta_from_yield(double yield) { return normal_quantile(yield); }
-
 }  // namespace mayo::stats

@@ -22,7 +22,4 @@ double normal_quantile(double p);
 /// Phi(beta).  Alias with domain-specific name.
 double yield_from_beta(double beta);
 
-/// Signed worst-case distance corresponding to a yield in (0, 1).
-double beta_from_yield(double yield);
-
 }  // namespace mayo::stats

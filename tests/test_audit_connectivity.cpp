@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/devices.hpp"
 
 namespace mayo::audit {
@@ -13,9 +15,7 @@ using circuit::NodeId;
 
 AuditReport run(const Netlist& netlist, bool capacitors_conduct = false) {
   AuditReport report;
-  ConnectivityOptions options;
-  options.capacitors_conduct = capacitors_conduct;
-  audit_connectivity(netlist, report, options);
+  audit_connectivity(netlist, report, capacitors_conduct);
   return report;
 }
 
@@ -170,6 +170,41 @@ TEST(AuditConnectivity, MosGateCountsForConnectivityNotConduction) {
                                kGround, kGround, circuit::MosProcess{},
                                circuit::MosGeometry{20e-6, 1e-6});
   EXPECT_TRUE(run(netlist).empty());
+}
+
+TEST(AuditConnectivity, DiodeConnectedMosIsNoSelfLoop) {
+  // drain == gate: the diode connection of every current mirror.
+  Netlist netlist;
+  const NodeId vdd = netlist.add_node("vdd");
+  const NodeId bias = netlist.add_node("bias");
+  netlist.add<circuit::VoltageSource>("Vdd", vdd, kGround, 5.0);
+  netlist.add<circuit::Resistor>("RB", vdd, bias, 1e4);
+  netlist.add<circuit::Mosfet>("MB", circuit::MosType::kNmos, bias, bias,
+                               kGround, kGround, circuit::MosProcess{},
+                               circuit::MosGeometry{20e-6, 1e-6});
+  EXPECT_TRUE(run(netlist).empty());
+  EXPECT_TRUE(run(netlist, /*capacitors_conduct=*/true).empty());
+}
+
+TEST(AuditConnectivity, MosWithDrainOnSourceIsASelfLoopWarning) {
+  // drain == source: the channel stamp couples the node to itself.
+  Netlist netlist;
+  const NodeId vdd = netlist.add_node("vdd");
+  const NodeId in = netlist.add_node("in");
+  const NodeId a = netlist.add_node("a");
+  netlist.add<circuit::VoltageSource>("Vdd", vdd, kGround, 5.0);
+  netlist.add<circuit::VoltageSource>("Vin", in, kGround, 1.2);
+  netlist.add<circuit::Resistor>("RD", vdd, a, 1e4);
+  netlist.add<circuit::Mosfet>("M1", circuit::MosType::kNmos, a, in, a,
+                               kGround, circuit::MosProcess{},
+                               circuit::MosGeometry{20e-6, 1e-6});
+  const AuditReport report = run(netlist);
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].code, "AUD-006");
+  EXPECT_EQ(report.diagnostics()[0].severity, Severity::kWarning);
+  EXPECT_EQ(report.diagnostics()[0].subject, "M1");
+  EXPECT_NE(report.diagnostics()[0].message.find("node 'a'"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "circuits/folded_cascode.hpp"
 #include "circuits/miller.hpp"
 #include "obs/obs.hpp"
@@ -286,6 +287,25 @@ TYPED_TEST(OpampContract, SolversFactorOnlyTheFreeUnknownsOfEachBench) {
     tree.build(netlist);
     EXPECT_EQ(tree.size(), unknowns[2 * k]) << k;
     EXPECT_EQ(tree.free_size(), unknowns[2 * k + 1]) << k;
+  }
+}
+
+TYPED_TEST(OpampContract, BenchesAuditClean) {
+  // Every rule family, in the DC and in the AC/transient conduction model:
+  // a paper circuit carries no finding, warnings included.  The bias
+  // mirrors' diode-connected transistors (drain == gate) are not AUD-006
+  // self-loops.
+  for (const std::size_t analysis :
+       {OpampModel::kSlewAnalysis, OpampModel::kGainAnalysis}) {
+    const circuit::Netlist& netlist = this->model->bench_netlist(
+        analysis, this->d0, this->s0, this->theta0);
+    for (const bool capacitors_conduct : {false, true}) {
+      const audit::AuditReport report =
+          audit::audit_netlist(netlist, capacitors_conduct);
+      EXPECT_TRUE(report.empty())
+          << "analysis " << analysis << ", capacitors_conduct "
+          << capacitors_conduct << ":\n" << audit::to_json(report);
+    }
   }
 }
 

@@ -300,9 +300,7 @@ TEST(EvaluatorAnalyses, FullRequestsCompletePartialRows) {
 TEST(EvaluatorAnalyses, BoundedCacheEvictsPartialRowsInInsertionOrder) {
   auto problem = testing::make_split_synthetic_problem();
   auto* model = dynamic_cast<SplitSyntheticModel*>(problem.model.get());
-  CacheOptions options;
-  options.capacity = 2;
-  Evaluator ev(problem, options);
+  Evaluator ev(problem, /*cache_capacity=*/2);
   const DesignVec d(problem.design.nominal);
   const OperatingVec theta{0.0};
 

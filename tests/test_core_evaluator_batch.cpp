@@ -213,9 +213,7 @@ TEST(EvaluatorBatch, BoundedCacheStillBitwiseIdentical) {
   // A tiny FIFO cache forces evictions mid-stream; values must not change.
   auto problem = testing::make_synthetic_problem();
   auto reference_problem = testing::make_synthetic_problem();
-  CacheOptions cache;
-  cache.capacity = 2;
-  Evaluator evaluator(problem, cache);
+  Evaluator evaluator(problem, /*cache_capacity=*/2);
   Evaluator reference(reference_problem);
   const DesignVec d(problem.design.nominal);
   const OperatingVec theta{0.0};

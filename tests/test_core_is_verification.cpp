@@ -201,7 +201,7 @@ TEST(IsVerification, EssFallbackTriggersOnFarShift) {
   EXPECT_TRUE(result.per_spec[0].self_normalized);
   ASSERT_GT(result.per_spec[0].fails, 0u);
   EXPECT_LT(result.per_spec[0].ess,
-            options.ess_fraction * static_cast<double>(result.per_spec[0].fails));
+            kIsEssFraction * static_cast<double>(result.per_spec[0].fails));
 #if MAYO_OBS_ENABLED  // the counter is a no-op shell under MAYO_OBS=OFF
   EXPECT_GE(obs::registry().counters.mc_is_ess_fallbacks.value(),
             fallbacks_before + 1);
@@ -305,7 +305,7 @@ TEST(IsVerificationDetail, ZeroFailureUpperBoundUsesLikelihoodRatioCap) {
   const double shift_norm = 3.0;
   const SpecIsEstimate e = detail::finalize_estimate(0, acc, shift_norm, options);
   const stats::YieldInterval wilson =
-      stats::weighted_yield_confidence(0.0, 64.0, options.z);
+      stats::weighted_yield_confidence(0.0, 64.0);
   EXPECT_EQ(e.fail_probability, 0.0);
   EXPECT_EQ(e.lower, wilson.lower);
   EXPECT_DOUBLE_EQ(e.upper, wilson.upper * std::exp(-0.5 * shift_norm * shift_norm));

@@ -236,8 +236,7 @@ TEST(OptimizerStop, StopsWhenTheModelsPredictNoGain) {
   // evaluations beyond the capped run's are iteration 3's constraint
   // linearization at d_f, which the search needed.
   const std::size_t before = ev2.counts().constraint;
-  linearize_feasibility(ev2, capped.final_d,
-                        two.linearization.design_step_fraction);
+  linearize_feasibility(ev2, capped.final_d);
   EXPECT_EQ(result.counts.constraint,
             capped.counts.constraint + (ev2.counts().constraint - before));
 }

@@ -253,8 +253,7 @@ TEST(WcDistance, IterationCapRelinearizesAtReturnedPoint) {
   const OperatingVec theta{0.0};
   const WorstCasePoint wc = find_worst_case_point(ev, 1, d, theta, options);
   EXPECT_EQ(wc.margin_at_wc, ev.margin(1, d, wc.s_wc, theta));
-  const StatUnitVec gradient =
-      ev.margin_gradient_s(1, d, wc.s_wc, theta, options.gradient_step);
+  const StatUnitVec gradient = ev.margin_gradient_s(1, d, wc.s_wc, theta);
   ASSERT_EQ(wc.gradient.size(), gradient.size());
   for (std::size_t i = 0; i < gradient.size(); ++i)
     EXPECT_EQ(wc.gradient[i], gradient[i]) << i;
@@ -318,8 +317,8 @@ TEST(WcDistance, WarmStartAtColdPointSkipsTheMultiStart) {
   EXPECT_TRUE(warm.mirrored);
   EXPECT_LT(ev.counts().optimization, cold_ev.counts().optimization);
   EXPECT_LT(warm.iterations, cold.iterations);
-  EXPECT_LE(linalg::distance(warm.s_wc, cold.s_wc), options.step_tolerance);
-  EXPECT_NEAR(warm.beta, cold.beta, options.step_tolerance);
+  EXPECT_LE(linalg::distance(warm.s_wc, cold.s_wc), kWcStepTolerance);
+  EXPECT_NEAR(warm.beta, cold.beta, kWcStepTolerance);
   if (obs::kEnabled) {
     EXPECT_EQ(after.starts, before.starts + 1);
     EXPECT_EQ(after.fallbacks, before.fallbacks);
@@ -329,7 +328,7 @@ TEST(WcDistance, WarmStartAtColdPointSkipsTheMultiStart) {
   const std::size_t evaluations = ev.counts().optimization;
   StatUnitVec probe(ev.num_statistical());
   for (std::size_t i = 0; i < probe.size(); ++i)
-    for (double h : {options.gradient_step, -options.gradient_step}) {
+    for (double h : {kSHatStep, -kSHatStep}) {
       probe[i] = h;
       (void)ev.margin(1, d, probe, theta);
       probe[i] = 0.0;

@@ -61,29 +61,13 @@ TEST(Cholesky, NonSquareThrows) {
   EXPECT_THROW(Cholesky c(Matrixd(2, 3)), std::invalid_argument);
 }
 
-TEST(Cholesky, ApplyFactorRoundTrip) {
+TEST(Cholesky, ApplyFactorInverseUndoesTheFactor) {
   const Matrixd a = spd_2x2();
   Cholesky chol(a);
   const Vector v{1.0, -2.0};
-  const Vector mapped = chol.apply_factor(v);
-  const Vector back = chol.apply_factor_inverse(mapped);
+  const Vector back = chol.apply_factor_inverse(chol.factor() * v);
   EXPECT_NEAR(back[0], v[0], 1e-12);
   EXPECT_NEAR(back[1], v[1], 1e-12);
-}
-
-TEST(Cholesky, ApplyFactorMapsCovariance) {
-  // L * z with z ~ N(0, I) has covariance A; check the second moment of the
-  // factor itself: (L e_k) entries match the k-th column of L.
-  Cholesky chol(spd_2x2());
-  const Vector col0 = chol.apply_factor(Vector{1.0, 0.0});
-  EXPECT_NEAR(col0[0], 2.0, 1e-12);
-  EXPECT_NEAR(col0[1], 1.0, 1e-12);
-}
-
-TEST(Cholesky, LogDeterminant) {
-  // det(spd_2x2) = 4*3 - 2*2 = 8.
-  Cholesky chol(spd_2x2());
-  EXPECT_NEAR(chol.log_determinant(), std::log(8.0), 1e-12);
 }
 
 TEST(Cholesky, RandomSpdRoundTrip) {

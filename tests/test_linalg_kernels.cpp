@@ -1,7 +1,7 @@
-// In-place kernels of the batched hot path: each must be bitwise identical
-// to the scalar code it replaced (ascending-order accumulation for gemv,
-// the exact substitution sequence of Cholesky::solve), because the batch
-// evaluation spine promises bit-identical results at every block size.
+// In-place kernels of the batched hot path: gemv must be bitwise identical
+// to the scalar code it replaced (ascending-order accumulation), because
+// the batch evaluation spine promises bit-identical results at every block
+// size.
 #include "linalg/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "stats/sampler.hpp"
@@ -68,37 +67,6 @@ TEST(Kernels, GemvOnStridedSubview) {
   gemv_into(ConstMatrixView(m).middle_rows(3, 2), x, part);
   EXPECT_EQ(part[0], full[3]);
   EXPECT_EQ(part[1], full[4]);
-}
-
-TEST(Kernels, AxpyMatchesElementwise) {
-  Vector y{1.0, 2.0, 3.0};
-  const Vector x{0.5, -0.5, 4.0};
-  Vector expect(3);
-  for (std::size_t i = 0; i < 3; ++i) expect[i] = y[i] + 2.5 * x[i];
-  axpy_into(y, 2.5, x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(y[i], expect[i]);
-}
-
-TEST(Kernels, CopyAxpyMatchesTwoStep) {
-  const Vector x{1.0, -2.0, 0.25};
-  const Vector z{3.0, 0.5, -1.5};
-  Vector fused(3);
-  copy_axpy_into(fused, x, -0.75, z);
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(fused[i], x[i] + (-0.75) * z[i]);
-}
-
-TEST(Kernels, CholeskySolveBitwiseMatchesAllocatingSolve) {
-  Matrixd a(3, 3);
-  a(0, 0) = 4.0;  a(0, 1) = 1.0;  a(0, 2) = 0.5;
-  a(1, 0) = 1.0;  a(1, 1) = 3.0;  a(1, 2) = -0.25;
-  a(2, 0) = 0.5;  a(2, 1) = -0.25; a(2, 2) = 2.0;
-  const Cholesky chol(a);
-  const Vector b{1.0, -2.0, 0.5};
-  const Vector reference = chol.solve(b);
-  Vector out(3);
-  cholesky_solve_into(chol, b, out);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(out[i], reference[i]);
 }
 
 TEST(Kernels, AssembleComplexWritesGPlusJOmegaC) {

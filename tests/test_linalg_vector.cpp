@@ -58,7 +58,6 @@ TEST(Vector, CompoundOpsMismatchedSizesThrow) {
   EXPECT_THROW(a -= b, std::invalid_argument);
   EXPECT_THROW(dot(a, b), std::invalid_argument);
   EXPECT_THROW(distance(a, b), std::invalid_argument);
-  EXPECT_THROW(hadamard(a, b), std::invalid_argument);
 }
 
 TEST(Vector, DotAndNorms) {
@@ -73,11 +72,6 @@ TEST(Vector, DotAndNorms) {
 TEST(Vector, MaxAbs) {
   Vector v{-7.0, 3.0, 5.0};
   EXPECT_EQ(v.max_abs(), 7.0);
-}
-
-TEST(Vector, Hadamard) {
-  EXPECT_EQ(hadamard(Vector{2.0, 3.0}, Vector{4.0, -1.0}),
-            (Vector{8.0, -3.0}));
 }
 
 TEST(Vector, Axpy) {

@@ -2,7 +2,6 @@
 //   * MOS model derivatives == finite differences over a bias grid,
 //   * worst-case distances == closed forms over a (design, bound) grid,
 //   * sampled linear-model yield == Phi(beta) over a beta sweep,
-//   * distribution transform round-trips over distribution types,
 //   * normal quantile/cdf inversion over a probability grid,
 //   * mismatch-measure range/monotonicity over worst-case-point geometry.
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "core/mismatch.hpp"
 #include "core/wc_distance.hpp"
 #include "core/yield_model.hpp"
-#include "stats/distribution.hpp"
 #include "stats/normal.hpp"
 #include "stats/sampler.hpp"
 #include "synthetic_problem.hpp"
@@ -126,47 +124,6 @@ TEST_P(YieldPhiSweep, SampledYieldMatchesPhi) {
 INSTANTIATE_TEST_SUITE_P(BetaSweep, YieldPhiSweep,
                          ::testing::Values(-2.0, -1.0, -0.5, 0.0, 0.5, 1.0,
                                            2.0, 3.0));
-
-// ---------------------------------------------------------------------
-// Distribution transforms: round trip and mass preservation per type.
-// ---------------------------------------------------------------------
-
-struct DistributionCase {
-  const char* name;
-  std::shared_ptr<stats::Distribution> dist;
-};
-
-class DistributionSweep : public ::testing::TestWithParam<DistributionCase> {};
-
-TEST_P(DistributionSweep, TransformRoundTrips) {
-  const auto& dist = *GetParam().dist;
-  for (double u = -2.5; u <= 2.5; u += 0.5) {
-    const double x = dist.from_standard_normal(u);
-    EXPECT_NEAR(dist.to_standard_normal(x), u, 1e-7) << GetParam().name;
-    EXPECT_NEAR(stats::normal_cdf(u), dist.cdf(x), 1e-8) << GetParam().name;
-  }
-}
-
-TEST_P(DistributionSweep, QuantileInvertsCdf) {
-  const auto& dist = *GetParam().dist;
-  for (double p : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
-    EXPECT_NEAR(dist.cdf(dist.quantile(p)), p, 1e-9) << GetParam().name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Marginals, DistributionSweep,
-    ::testing::Values(
-        DistributionCase{"normal",
-                         std::make_shared<stats::NormalDistribution>(1.0, 2.0)},
-        DistributionCase{
-            "lognormal",
-            std::make_shared<stats::LogNormalDistribution>(0.3, 0.4)},
-        DistributionCase{
-            "uniform",
-            std::make_shared<stats::UniformDistribution>(-2.0, 3.0)}),
-    [](const ::testing::TestParamInfo<DistributionCase>& info) {
-      return info.param.name;
-    });
 
 // ---------------------------------------------------------------------
 // Normal quantile inversion across the probability range.

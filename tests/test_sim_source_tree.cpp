@@ -240,7 +240,7 @@ bool dense_newton(Netlist& nl, const DcOptions& options, double gmin,
       x[k] += delta;
       if (k + 1 < nl.num_nodes()) max_dv = std::max(max_dv, std::abs(delta));
     }
-    if (max_dv < options.vntol && residual.max_abs() < options.abstol &&
+    if (max_dv < kVntol && residual.max_abs() < kAbstol &&
         scale == 1.0)
       return true;
   }
@@ -253,7 +253,7 @@ DcResult dense_solve_dc(Netlist& nl, const DcOptions& options,
                         const Vector* initial) {
   DcResult result;
   result.solution = initial != nullptr ? *initial : Vector(nl.system_size());
-  if (dense_newton(nl, options, options.gmin_floor, result.solution,
+  if (dense_newton(nl, options, kGminFloor, result.solution,
                    result.newton_iterations)) {
     result.converged = true;
     return result;
@@ -261,15 +261,15 @@ DcResult dense_solve_dc(Netlist& nl, const DcOptions& options,
   if (options.allow_gmin_stepping) {
     Vector x(nl.system_size());
     bool ok = true;
-    for (double gmin = 1e-2; gmin >= options.gmin_floor / 2.0; gmin *= 0.01) {
+    for (double gmin = 1e-2; gmin >= kGminFloor / 2.0; gmin *= 0.01) {
       ++result.continuation_steps;
-      if (!dense_newton(nl, options, std::max(gmin, options.gmin_floor), x,
+      if (!dense_newton(nl, options, std::max(gmin, kGminFloor), x,
                         result.newton_iterations)) {
         ok = false;
         break;
       }
     }
-    if (ok && dense_newton(nl, options, options.gmin_floor, x,
+    if (ok && dense_newton(nl, options, kGminFloor, x,
                            result.newton_iterations)) {
       result.solution = x;
       result.converged = true;
@@ -294,7 +294,7 @@ DcResult dense_solve_dc(Netlist& nl, const DcOptions& options,
     for (double factor : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       ++result.continuation_steps;
       apply(factor);
-      if (!dense_newton(nl, options, options.gmin_floor, x,
+      if (!dense_newton(nl, options, kGminFloor, x,
                         result.newton_iterations)) {
         ok = false;
         break;
@@ -381,8 +381,8 @@ TEST(SourceTree, SolveTransientMatchesADenseBackwardEulerRun) {
                                x_prev, h, t);
       for (const auto& device : nl) device->stamp_tran(stamp);
       for (std::size_t i = 0; i + 1 < nl.num_nodes(); ++i) {
-        target.add(static_cast<int>(i), static_cast<int>(i), dc.gmin_floor);
-        residual[i] += dc.gmin_floor * x[i];
+        target.add(static_cast<int>(i), static_cast<int>(i), kGminFloor);
+        residual[i] += kGminFloor * x[i];
       }
       linalg::Lud(jacobian).solve_into(residual.data(), step.data());
       double scale = 1.0;
@@ -396,8 +396,7 @@ TEST(SourceTree, SolveTransientMatchesADenseBackwardEulerRun) {
         x[i] += delta;
         if (i + 1 < nl.num_nodes()) max_dv = std::max(max_dv, std::abs(delta));
       }
-      converged = max_dv < dc.vntol * 10.0 &&
-                  residual.max_abs() < dc.abstol * 10.0;
+      converged = max_dv < kVntol * 10.0 && residual.max_abs() < kAbstol * 10.0;
     }
     ASSERT_TRUE(converged) << "step " << k;
     expect_agree(reduced.solutions[k], x, nl.num_nodes(),

@@ -369,23 +369,6 @@ TEST(TransientSeed, ASeedShorterThanTheRunSeedsExactlyItsPrefix) {
   expect_prefix(seeded, unseeded, unseeded.time.size());
 }
 
-TEST(SlopeHelpers, MaxSlope) {
-  const std::vector<double> t = {0.0, 1.0, 2.0, 3.0};
-  const std::vector<double> v = {0.0, 2.0, 3.0, 2.5};
-  EXPECT_DOUBLE_EQ(max_slope(t, v), 2.0);
-  EXPECT_DOUBLE_EQ(max_negative_slope(t, v), 0.5);
-}
-
-TEST(SlopeHelpers, SizeMismatchThrows) {
-  EXPECT_THROW(max_slope({0.0, 1.0}, {0.0}), std::invalid_argument);
-  EXPECT_THROW(max_negative_slope({0.0}, {0.0, 1.0}), std::invalid_argument);
-}
-
-TEST(SlopeHelpers, EmptyIsZero) {
-  EXPECT_EQ(max_slope({}, {}), 0.0);
-  EXPECT_EQ(max_negative_slope({0.0}, {1.0}), 0.0);
-}
-
 }  // namespace
 }  // namespace mayo::sim
 

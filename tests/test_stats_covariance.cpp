@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "stats/pelgrom.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 
@@ -16,27 +15,6 @@ using linalg::Matrixd;
 using linalg::StatPhysVec;
 using linalg::StatUnitVec;
 using linalg::Vector;
-
-TEST(Pelgrom, PairSigmaAreaLaw) {
-  PelgromCoefficient avt{20e-9};  // 20 mV*um
-  // W = 50 um, L = 1 um: sigma = 20e-9 / sqrt(5e-11) ~ 2.83 mV.
-  EXPECT_NEAR(avt.pair_sigma(50e-6, 1e-6), 2.8284e-3, 1e-6);
-  // Quadrupling the area halves sigma.
-  EXPECT_NEAR(avt.pair_sigma(200e-6, 1e-6),
-              0.5 * avt.pair_sigma(50e-6, 1e-6), 1e-12);
-}
-
-TEST(Pelgrom, DeviceSigmaIsPairOverSqrt2) {
-  PelgromCoefficient avt{10e-9};
-  EXPECT_NEAR(avt.device_sigma(20e-6, 2e-6) * std::sqrt(2.0),
-              avt.pair_sigma(20e-6, 2e-6), 1e-15);
-}
-
-TEST(Pelgrom, RejectsBadGeometry) {
-  PelgromCoefficient avt{10e-9};
-  EXPECT_THROW(avt.pair_sigma(0.0, 1e-6), std::invalid_argument);
-  EXPECT_THROW(avt.device_sigma(1e-6, -1.0), std::invalid_argument);
-}
 
 CovarianceModel two_param_model() {
   CovarianceModel cov;

@@ -78,6 +78,13 @@ one-line diff below):
                     name the header declares has to appear in the
                     including file.  Umbrella includes kept on purpose
                     carry "// include-ok: <reason>".
+  option-assigned   every data member of a `struct ...Options` under
+                    src/audit, src/core and src/sim is assigned somewhere
+                    in SOURCE_DIRS or e2ebench/, as a code-token
+                    `.name =` or `->name =`.  A field no line sets is a constant in
+                    disguise: it belongs next to the code that reads it.
+                    Members whose type is itself an ...Options struct
+                    are exempt (their own fields are checked).
 
 Usage: python3 tools/lint.py [--root REPO_ROOT]
 Exits non-zero and prints file:line: [rule] message for each violation.
@@ -100,6 +107,8 @@ from cpp_tokens import (  # noqa: E402,F401
     RAW_STRING, STRING, SourceFile, Token, tokenize)
 
 SOURCE_DIRS = ("src", "tests", "bench", "tools", "examples")
+# option-assigned: the modules whose ...Options structs are checked.
+OPTION_DIRS = ("src/audit/", "src/core/", "src/sim/")
 CPP_EXT = {".cpp", ".hpp"}
 
 # Module layering inside src/: module -> modules it may include from.
@@ -179,6 +188,10 @@ HOT_ALLOC_RE = re.compile(
     r"(?!\s*[&*>,)])(?:\s*[({]|\s+\w)")
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
 RAW_CALL_RE = re.compile(r"(?:\.|->)\s*raw\s*\(")
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*\{")
+# The declared name of a data member: the last identifier before its
+# initializer (or the end of the declaration).
+MEMBER_NAME_RE = re.compile(r"(\w+)\s*(?:=.*|\{\})?$", re.DOTALL)
 
 DETERMINISM_PATTERNS = [
     (re.compile(r"std::random_device"), "std::random_device"),
@@ -401,6 +414,78 @@ class Linter:
                             "(tag the value end-to-end, or annotate with "
                             "// space-ok: <reason>)")
 
+    # -- whole-project rule: every option field is set somewhere ----------
+
+    @staticmethod
+    def option_members(body: str):
+        """(offset, type, name) of each data member of a struct body.
+
+        Nested braces are skipped, so member function bodies and brace
+        initializers never split a declaration; a declaration whose type
+        (template arguments removed) holds a `(` is a function.
+        """
+        decls, start, depth = [], 0, 0
+        for i, ch in enumerate(body):
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0 and "(" in re.sub(r"<[^<>]*>", "",
+                                                body[start:i]):
+                    start = i + 1  # end of a member function body
+            elif ch == ";" and depth == 0:
+                decls.append((start, body[start:i]))
+                start = i + 1
+        for offset, decl in decls:
+            flat = re.sub(r"\{[^{}]*\}", "{}", decl).strip()
+            while True:
+                plain = re.sub(r"<[^<>]*>", "", flat)
+                if plain == flat:
+                    break
+                flat = plain
+            head = flat.split("=")[0]
+            if (not flat or "(" in head or re.match(
+                    r"(?:using|static|friend|enum|struct|class|typedef)\b"
+                    r"|\w+\s*:(?!:)", flat)):
+                continue
+            m = MEMBER_NAME_RE.search(head.strip())
+            if m:
+                type_ = head.strip()[:m.start()].strip()
+                yield offset + len(decl) - len(decl.lstrip()), type_, \
+                    m.group(1)
+
+    def check_option_assigned(self, sources: dict[str, SourceFile]) -> None:
+        # Assignments count anywhere in the linted trees and in e2ebench/,
+        # which is read here but not linted.
+        codes = [sf.code for sf in sources.values()]
+        for p in sorted((self.root / "e2ebench").rglob("*")):
+            if p.suffix in CPP_EXT:
+                codes.append(SourceFile(p, p.read_text("utf-8")).code)
+        user_code = "\n".join(codes)
+        for rel, sf in sources.items():
+            if not rel.startswith(OPTION_DIRS):
+                continue
+            for m in OPTIONS_STRUCT_RE.finditer(sf.code):
+                depth, end = 0, len(sf.code)
+                for i in range(m.end() - 1, len(sf.code)):
+                    depth += {"{": 1, "}": -1}.get(sf.code[i], 0)
+                    if depth == 0:
+                        end = i
+                        break
+                body = sf.code[m.end():end]
+                for offset, type_, name in self.option_members(body):
+                    if re.search(r"\w*Options$", type_):
+                        continue  # nested options: its own fields count
+                    assigned = re.compile(
+                        r"(?:\.|->)\s*" + name + r"\s*=(?!=)")
+                    if not assigned.search(user_code):
+                        self.report(
+                            sf.path, sf.line_of(m.end() + offset),
+                            "option-assigned",
+                            f"{m.group(1)}::{name} is assigned nowhere "
+                            "(make it a named constant next to the code "
+                            "that reads it)")
+
     # -- whole-project rule: the include graph -----------------------------
 
     def check_include_graph(self, sources: dict[str, SourceFile]) -> None:
@@ -522,6 +607,7 @@ class Linter:
                 if rel in HOT_REGION_FILES:
                     self.check_hot_region(sf, HOT_REGION_FILES[rel])
         self.check_include_graph(sources)
+        self.check_option_assigned(sources)
         for rel, line, rule, message in sorted(self.violations):
             print(f"{rel}:{line}: [{rule}] {message}")
         print(f"lint: {len(files)} files checked, "

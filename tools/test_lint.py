@@ -565,6 +565,55 @@ class LintRepoTest(unittest.TestCase):
                    "int helper_only() { return 1; }\n")
         self.assertEqual(run_lint(self.root), [])
 
+    # -- option-assigned ---------------------------------------------------
+
+    OPTS = ("#pragma once\n"
+            "struct Inner { int x; };\n"
+            "struct InnerOptions { int depth = 2; };\n"
+            "struct SolveOptions {\n"
+            "  int max_iterations = 50;  ///< Newton iterations\n"
+            "  double tolerance{1e-9};\n"
+            "  std::function<void(int, double)> on_step;\n"
+            "  InnerOptions inner;\n"
+            "  static constexpr int kLimit = 3;\n"
+            "  int total() const { return max_iterations + 1; }\n"
+            "};\n")
+
+    def test_option_assigned_every_field_set_passes(self):
+        # Members count once a `.name =` or `->name =` sets them anywhere in
+        # the searched trees, e2ebench/ included; a nested ...Options member
+        # and the non-data members are exempt.
+        self.write("src/core/solve.hpp", self.OPTS)
+        self.write("tests/test_solve.cpp",
+                   "void f(SolveOptions& o, SolveOptions* p) {\n"
+                   "  o.max_iterations = 3;\n"
+                   "  p->on_step = nullptr;\n"
+                   "  o.inner.depth = 1;\n"
+                   "}\n")
+        self.write("e2ebench/bm.cpp",
+                   "void g(SolveOptions o) { o.tolerance = 1e-6; }\n")
+        self.assertEqual(run_lint(self.root), [])
+
+    def test_option_assigned_flags_fields_no_code_sets(self):
+        # A comparison, a read, a comment and a string literal are not
+        # assignments; an Options struct outside audit/core/sim is not
+        # checked.
+        self.write("src/sim/solve.hpp", self.OPTS)
+        self.write("src/circuits/bench.hpp",
+                   "#pragma once\nstruct BenchOptions { int rows = 1; };\n")
+        self.write("tests/test_solve.cpp",
+                   "// o.tolerance = 1.0;\n"
+                   "bool f(SolveOptions& o) {\n"
+                   "  log(\"o.on_step = x\");\n"
+                   "  return o.max_iterations == 3 && o.tolerance > 0;\n"
+                   "}\n")
+        flagged = sorted(msg.split(" ")[0] for rel, _, rule, msg
+                         in run_lint(self.root) if rule == "option-assigned")
+        self.assertEqual(flagged, ["InnerOptions::depth",
+                                   "SolveOptions::max_iterations",
+                                   "SolveOptions::on_step",
+                                   "SolveOptions::tolerance"])
+
 
 if __name__ == "__main__":
     unittest.main()
